@@ -242,7 +242,13 @@ def _cmd_verify_bound(cfg: RunConfig) -> int:
         raise ValueError("--delta is required for verify-bound (repeatable)")
     M = max(1, int(cfg.box))
     den = cfg.denominators or 2 * max(d.denominator for d in cfg.deltas)
-    keys = grid_keys((-M, M), denominators=den)
+    if den < 1:
+        raise ValueError("denominator bound must be >= 1")
+    if cfg.engine == "dyadic":
+        # the smallest level L with 2**L >= den
+        keys = grid_keys((-M, M), dyadic_level=(den - 1).bit_length())
+    else:
+        keys = grid_keys((-M, M), denominators=den)
     if cfg.engine == "ck":
         table = reconstruct_ck_table(F, keys, tol=cfg.tolerance)
     else:
@@ -332,7 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="rational scale in (0, 1/2); repeatable",
     )
     p_bound.add_argument("--box", type=float, help="check on [-M, M] (default 1)")
-    p_bound.add_argument("--denominators", type=int, help="sample grid density for f")
+    p_bound.add_argument(
+        "--denominators",
+        type=int,
+        help="sample grid density N for f: all p/q with q up to N, or with "
+        "--engine dyadic all k/2^L for the smallest 2^L >= N "
+        "(default twice the largest delta denominator)",
+    )
     p_bound.add_argument("--engine", choices=_ENGINE_CHOICES)
     p_bound.add_argument("--epsilon", type=float)
 

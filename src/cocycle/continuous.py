@@ -57,6 +57,9 @@ ENGINES = ("euclid-chain", "dyadic")
 # Row sums switch to vectorized evaluation above this length.
 _VECTOR_MIN = 128
 
+# grid_keys refuses grids larger than this many keys.
+MAX_GRID_KEYS = 10**6
+
 
 class ConvergenceError(Exception):
     """Limit extension failed to reach the requested epsilon.
@@ -387,6 +390,20 @@ def reconstruct_table(
     )
 
 
+def _check_grid_size(a: Fraction, b: Fraction, dens) -> None:
+    """Raise ValueError when the multiples of 1/den in [a, b], summed over
+    dens (an upper bound on the key count), exceed MAX_GRID_KEYS; the sum
+    stops as soon as it does, so a huge bound is refused at once."""
+    total = 0
+    for den in dens:
+        total += _floor_frac(b * den) - _ceil_frac(a * den) + 1
+        if total > MAX_GRID_KEYS:
+            raise ValueError(
+                f"grid on [{a}, {b}] would hold over {total} keys; "
+                f"the limit is {MAX_GRID_KEYS}"
+            )
+
+
 def grid_keys(
     interval,
     *,
@@ -394,7 +411,8 @@ def grid_keys(
     dyadic_level: int | None = None,
 ) -> list[Fraction]:
     """Reduced rationals in [a, b]: all with denominator <= bound, or all
-    multiples of 2**-level."""
+    multiples of 2**-level.  Grids of more than MAX_GRID_KEYS keys are
+    rejected with ValueError before any key is built."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
     a, b = (Fraction(x) for x in interval)
@@ -404,6 +422,7 @@ def grid_keys(
     if denominators is not None:
         if denominators < 1:
             raise ValueError("denominator bound must be >= 1")
+        _check_grid_size(a, b, range(1, denominators + 1))
         for den in range(1, denominators + 1):
             for num in range(_ceil_frac(a * den), _floor_frac(b * den) + 1):
                 if math.gcd(num, den) == 1:
@@ -413,6 +432,7 @@ def grid_keys(
     if dyadic_level < 0:
         raise ValueError("dyadic level must be >= 0")
     den = 1 << dyadic_level
+    _check_grid_size(a, b, (den,))
     return [
         Fraction(num, den)
         for num in range(_ceil_frac(a * den), _floor_frac(b * den) + 1)

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .continuous import LatticeSolver, ReconstructedFunction
+from .expressions import EvaluationError
 from .rational import ONE_HALF
 
 __all__ = [
@@ -228,6 +229,14 @@ def _eval_axis(fn, xs: np.ndarray) -> np.ndarray:
     return np.array([float(fn(float(x))) for x in xs], dtype=np.float64)
 
 
+def _require_finite(vals: np.ndarray) -> np.ndarray:
+    # NaN would propagate through the window maxima (or, pairwise, drop
+    # out of them unseen), so a non-finite sample is an evaluation error.
+    if not np.isfinite(vals).all():
+        raise EvaluationError("function is not finite on the sample grid")
+    return vals
+
+
 def _eval_grid(fn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     try:
@@ -242,37 +251,56 @@ def _eval_grid(fn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     )
 
 
+def _widen(rm: np.ndarray) -> None:
+    """Grow a running max along the last axis by one index on each side,
+    in place: rm[..., j] becomes max(rm[..., j-1], rm[..., j], rm[..., j+1])."""
+    np.maximum(rm[..., :-1], rm[..., 1:], out=rm[..., :-1])
+    np.maximum(rm[..., 1:], rm[..., :-1], out=rm[..., 1:])
+
+
 def _window_max_1d(vals: np.ndarray, step: float, delta: float) -> float:
-    kmax = int(math.floor(delta / step + 1e-9))
-    worst = 0.0
-    for k in range(1, kmax + 1):
-        if k >= len(vals):
-            break
-        worst = max(worst, float(np.max(np.abs(vals[k:] - vals[:-k]))))
-    return worst
+    """max |vals[i] - vals[i+k]| over 0 < k <= delta/step, in O(N * delta/step).
+
+    The sup of |v(a) - v(b)| over a window equals the max over a of the
+    window max of v around a, minus v(a); float subtraction rounds
+    monotonically, so this is exactly the pairwise maximum.
+    """
+    kmax = min(int(math.floor(delta / step + 1e-9)), len(vals) - 1)
+    rm = vals.copy()
+    for _ in range(kmax):
+        _widen(rm)
+    np.subtract(rm, vals, out=rm)
+    return float(rm.max())
 
 
 def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> float:
-    imax = int(math.floor(delta / sx + 1e-9))
-    jmax = int(math.floor(delta / sy + 1e-9))
-    worst = 0.0
+    """max |vals[a] - vals[b]| over grid pairs with |a - b| <= delta.
+
+    The disk max of ``vals`` (a dilation) is built one offset row di at a
+    time: a running max over columns whose half-width w(di) only grows as
+    di falls, folded in at row shifts +di and -di.  That is about
+    2 * (imax + jmax) in-place passes over two grid-sized buffers, so the
+    cost is O(N^2 * delta/h) for an N x N grid of step h.  The offsets are
+    exactly those of the pairwise definition, and the result is identical
+    to it (see ``_window_max_1d``).
+    """
+    n0, n1 = vals.shape
+    imax = min(int(math.floor(delta / sx + 1e-9)), n0 - 1)
+    jmax = min(int(math.floor(delta / sy + 1e-9)), n1 - 1)
     d2 = delta * delta * (1.0 + 1e-12)
-    for di in range(0, imax + 1):
-        for dj in range(-jmax, jmax + 1):
-            if di == 0 and dj <= 0:
-                continue  # each unordered pair once
-            if (di * sx) ** 2 + (dj * sy) ** 2 > d2:
-                continue
-            if di >= vals.shape[0] or abs(dj) >= vals.shape[1]:
-                continue
-            if dj >= 0:
-                a = vals[di:, dj:]
-                b = vals[: vals.shape[0] - di, : vals.shape[1] - dj]
-            else:
-                a = vals[di:, :dj]
-                b = vals[: vals.shape[0] - di, -dj:]
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+    dil = vals.copy()
+    rm = vals.copy()
+    w = 0
+    for di in range(imax, -1, -1):
+        if (di * sx) ** 2 > d2:
+            continue  # the whole row lies outside the disk
+        while w < jmax and (di * sx) ** 2 + ((w + 1) * sy) ** 2 <= d2:
+            _widen(rm)
+            w += 1
+        np.maximum(dil[: n0 - di], rm[di:], out=dil[: n0 - di])
+        np.maximum(dil[di:], rm[: n0 - di], out=dil[di:])
+    np.subtract(dil, vals, out=dil)
+    return float(dil.max())
 
 
 def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
@@ -280,6 +308,9 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
 
     The grid spans the domain with spacing at most ``grid_step`` (which
     must not exceed delta); distances in two dimensions are Euclidean.
+    With N points per axis and r = delta / grid_step the window maxima
+    cost O(N * r) in one dimension and O(N^2 * r) in two.  A grid value
+    that is not finite raises EvaluationError.
     """
     delta = float(delta)
     grid_step = float(grid_step)
@@ -291,12 +322,12 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
     if shape == "1d":
         a, b = bounds
         xs = _axis(a, b, grid_step)
-        vals = _eval_axis(fn, xs)
+        vals = _require_finite(_eval_axis(fn, xs))
         return _window_max_1d(vals, float(xs[1] - xs[0]), delta)
     a, b, c, d = bounds
     xs = _axis(a, b, grid_step)
     ys = _axis(c, d, grid_step)
-    vals = _eval_grid(fn, xs, ys)
+    vals = _require_finite(_eval_grid(fn, xs, ys))
     return _window_max_2d(vals, float(xs[1] - xs[0]), float(ys[1] - ys[0]), delta)
 
 
@@ -401,6 +432,7 @@ def check_bound_c0(
     h = f + F(0,0) is the normalized lattice solution.
 
     ``f`` is a ReconstructedFunction or a callable accepting Fractions.
+    A kernel value on the grid that is not finite raises EvaluationError.
     """
     from .continuous import h_rational  # deferred to avoid a module cycle
 
@@ -419,7 +451,7 @@ def check_bound_c0(
     box = ((-float(M), float(M)), (-float(M), float(M)))
     kernel_step = f_step / 4.0
     xs = _axis(-float(M), float(M), kernel_step)
-    kernel_vals = _eval_grid(F, xs, xs)
+    kernel_vals = _require_finite(_eval_grid(F, xs, xs))
     actual_step = float(xs[1] - xs[0])
 
     f00 = float(F(0.0, 0.0))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestExitCodes:
 
     def test_missing_interval_is_two(self, capsys):
         assert run(["reconstruct", "--seed", "square", "--denominators", "4"]) == 2
+
+    def test_oversized_grid_is_two(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_out(
+            ["reconstruct", "--seed", "square", "--interval", "-2", "2",
+             "--denominators", "1000000"],
+            capsys,
+        )
+        assert code == 2
+        assert "limit is 1000000" in err
+        assert time.perf_counter() - start < 2.0
 
     def test_conflicting_resolutions_is_two(self, capsys):
         code = run(
@@ -244,6 +256,35 @@ class TestVerifyBoundCommand:
         ]
         assert all(o["pass"] for o in objs)
         assert objs[0]["lhs"] <= objs[0]["rhs"] + 1e-9
+
+    def test_dyadic_engine(self, capsys):
+        # both engines sample f with spacing 1/16, so the kernel grid and
+        # the modulus-bound right side coincide
+        argv = ["verify-bound", "--seed", "cube", "--delta", "1/8"]
+        code, out, _ = run_out(argv + ["--engine", "dyadic"], capsys)
+        assert code == 0
+        objs = [json.loads(line) for line in out.strip().splitlines()]
+        assert [o["check"] for o in objs] == ["modulus-bound", "lattice-bound"]
+        assert all(o["pass"] for o in objs)
+        code, out, _ = run_out(argv + ["--engine", "euclid-chain"], capsys)
+        assert code == 0
+        chain = json.loads(out.splitlines()[0])
+        assert objs[0]["rhs"] == chain["rhs"]
+        assert objs[0]["params"] == chain["params"]
+        assert run(argv + ["--engine", "dyadic", "--denominators", "-3"]) == 2
+
+    def test_dense_grid_stays_fast(self, capsys):
+        # the kernel window maxima grew about x20 per doubling of the
+        # density (26 s here); the dilation takes about 1 s
+        start = time.perf_counter()
+        code, out, _ = run_out(
+            ["verify-bound", "--seed", "hoelder", "--delta", "1/4", "--denominators", "96"],
+            capsys,
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+        assert elapsed < 10.0
 
 
 class TestBenchCommand:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SEEDS, oracle_solution, seed_kernel
+from cocycle import continuous
 from cocycle import (
     ConvergenceError,
     EvaluationError,
@@ -176,6 +178,25 @@ class TestGridKeys:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             grid_keys((1, 1), denominators=4)
+
+    def test_size_guard_threshold(self, monkeypatch):
+        # the bound counts every multiple of 1/q in [a, b] before reduction:
+        # 2 + 3 + 4 = 9 for q <= 3 on [0, 1], and 2^L + 1 for level L
+        monkeypatch.setattr(continuous, "MAX_GRID_KEYS", 9)
+        assert len(grid_keys((0, 1), denominators=3)) == 5
+        assert len(grid_keys((0, 1), dyadic_level=3)) == 9
+        with pytest.raises(ValueError, match="limit is 9"):
+            grid_keys((0, 1), denominators=4)
+        with pytest.raises(ValueError, match="limit is 9"):
+            grid_keys((0, 1), dyadic_level=4)
+
+    def test_huge_grids_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit is 1000000"):
+            grid_keys((-2, 2), denominators=10**6)
+        with pytest.raises(ValueError, match="limit is 1000000"):
+            grid_keys((-2, 2), dyadic_level=60)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestTables:

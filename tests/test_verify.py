@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_SEEDS, oracle_solution, seed_kernel
 from cocycle import (
+    EvaluationError,
     affine_difference,
     bivariate_expression,
     check_bound_c0,
@@ -22,6 +25,7 @@ from cocycle import (
     reconstruct_table,
     symmetry_residual,
 )
+from cocycle.verify import _window_max_1d, _window_max_2d
 
 F_BILINEAR = bivariate_expression("2*x*y")
 F_SKEW = bivariate_expression("x*y^2")
@@ -183,6 +187,137 @@ class TestModulusEstimate:
     def test_positive_delta_required(self):
         with pytest.raises(ValueError):
             modulus_estimate(lambda t: t, 0.0, (0.0, 1.0), 0.05)
+
+
+def _brute_window_max_1d(vals, step, delta):
+    # every offset k <= delta/step, one shifted difference per offset
+    kmax = int(math.floor(delta / step + 1e-9))
+    worst = 0.0
+    for k in range(1, kmax + 1):
+        if k >= len(vals):
+            break
+        worst = max(worst, float(np.max(np.abs(vals[k:] - vals[:-k]))))
+    return worst
+
+
+def _brute_window_max_2d(vals, sx, sy, delta):
+    # every offset (di, dj) in the delta-disk, each unordered pair once
+    imax = int(math.floor(delta / sx + 1e-9))
+    jmax = int(math.floor(delta / sy + 1e-9))
+    worst = 0.0
+    d2 = delta * delta * (1.0 + 1e-12)
+    for di in range(0, imax + 1):
+        for dj in range(-jmax, jmax + 1):
+            if di == 0 and dj <= 0:
+                continue
+            if (di * sx) ** 2 + (dj * sy) ** 2 > d2:
+                continue
+            if di >= vals.shape[0] or abs(dj) >= vals.shape[1]:
+                continue
+            if dj >= 0:
+                a = vals[di:, dj:]
+                b = vals[: vals.shape[0] - di, : vals.shape[1] - dj]
+            else:
+                a = vals[di:, :dj]
+                b = vals[: vals.shape[0] - di, -dj:]
+            worst = max(worst, float(np.max(np.abs(a - b))))
+    return worst
+
+
+def _sample_values(shape, rng_seed, ties):
+    rng = np.random.default_rng(rng_seed)
+    if ties:
+        return rng.integers(-3, 4, size=shape).astype(np.float64)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+
+
+_STEPS = st.one_of(
+    st.sampled_from([1 / 64, 1 / 10, 1 / 3, 0.25, 2 / 7]),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+# delta as a multiple of a step: below one step, beyond the grid's
+# extent, and at or just off whole multiples, where the 1e-9 floor slack
+# and the 1e-12 disk slack decide which offsets count
+_RATIOS = st.one_of(
+    st.floats(min_value=0.1, max_value=45.0),
+    st.builds(
+        lambda k, e: k * (1.0 + e),
+        st.integers(min_value=1, max_value=45),
+        st.sampled_from([0.0, -1e-10, -1e-13, 1e-13, 1e-10]),
+    ),
+)
+
+
+class TestWindowMaxKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        step=_STEPS,
+        ratio=_RATIOS,
+        rng_seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    def test_1d_equals_pairwise(self, n, step, ratio, rng_seed, ties):
+        vals = _sample_values(n, rng_seed, ties)
+        delta = ratio * step
+        assert _window_max_1d(vals, step, delta) == _brute_window_max_1d(vals, step, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n0=st.integers(1, 30),
+        n1=st.integers(1, 30),
+        sx=_STEPS,
+        sy=_STEPS,
+        ratio=_RATIOS,
+        on_y=st.booleans(),
+        rng_seed=st.integers(0, 2**32 - 1),
+        ties=st.booleans(),
+    )
+    def test_2d_equals_pairwise(self, n0, n1, sx, sy, ratio, on_y, rng_seed, ties):
+        vals = _sample_values((n0, n1), rng_seed, ties)
+        delta = ratio * (sy if on_y else sx)
+        got = _window_max_2d(vals, sx, sy, delta)
+        assert got == _brute_window_max_2d(vals, sx, sy, delta)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (1, 30), (30, 1)])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.35, 1.0, 5.0])
+    def test_2d_single_row_and_column(self, shape, delta):
+        vals = _sample_values(shape, 11, False)
+        sx, sy = 0.1, 0.07
+        got = _window_max_2d(vals, sx, sy, delta)
+        assert got == _brute_window_max_2d(vals, sx, sy, delta)
+
+    @pytest.mark.parametrize("step", [1 / 64, 0.1, 1 / 3, 0.3, 2 / 7, 0.7])
+    @pytest.mark.parametrize("k", [5, 10, 13, 17, 25])
+    def test_2d_pythagorean_offsets(self, step, k):
+        # offsets like (3, 4) at delta = 5 * step sit on the disk's rim
+        vals = _sample_values((30, 30), k, False)
+        delta = k * step
+        assert _window_max_2d(vals, step, step, delta) == _brute_window_max_2d(
+            vals, step, step, delta
+        )
+
+
+class TestNonFiniteKernel:
+    @staticmethod
+    def _nan_at_corner(x, y):
+        # a plain callable: arrays fail float() and fall back to scalars
+        x, y = float(x), float(y)
+        return math.nan if (x, y) == (1.0, 1.0) else x * y
+
+    def test_modulus_estimate_rejects_nan_2d(self):
+        with pytest.raises(EvaluationError):
+            modulus_estimate(self._nan_at_corner, 0.25, ((0.0, 1.0), (0.0, 1.0)), 1 / 16)
+
+    def test_modulus_estimate_rejects_nan_1d(self):
+        f = lambda t: math.nan if float(t) == 1.0 else float(t)
+        with pytest.raises(EvaluationError):
+            modulus_estimate(f, 0.25, (0.0, 1.0), 1 / 16)
+
+    def test_bound_check_rejects_nan(self):
+        oracle = oracle_solution("square")
+        with pytest.raises(EvaluationError):
+            check_bound_c0(self._nan_at_corner, oracle, [Fraction(1, 8)], 1)
 
 
 class TestModulusProbe:
