@@ -73,14 +73,6 @@ class ConvergenceError(Exception):
         self.bound = bound
 
 
-def _ceil_frac(r: Fraction) -> int:
-    return -((-r.numerator) // r.denominator)
-
-
-def _floor_frac(r: Fraction) -> int:
-    return r.numerator // r.denominator
-
-
 class LatticeSolver:
     """Shared evaluation state for one kernel F.
 
@@ -134,8 +126,9 @@ class LatticeSolver:
         ys = np.arange(1, m, dtype=np.float64) * float(p) / float(n)
         try:
             vals = self.F(float(x), ys)
-        except (TypeError, EvaluationError):
-            self._vector_ok = False
+        except (TypeError, EvaluationError) as exc:
+            if isinstance(exc, TypeError):  # no arrays, ever; a pole spoils one row
+                self._vector_ok = False
             return math.fsum(self.H(x, i * x) for i in range(1, m))
         arr = np.asarray(vals, dtype=np.float64) - self.F00
         return math.fsum(arr.tolist())
@@ -167,7 +160,7 @@ class LatticeSolver:
         if r < 0:
             return -self._h_value(-r, engine) - self.H(-r, r)
         if r >= 1:
-            k = _floor_frac(r)
+            k = math.floor(r)
             if r == k:
                 return math.fsum(
                     self.H(Fraction(1), Fraction(i)) for i in range(1, k)
@@ -396,7 +389,7 @@ def _check_grid_size(a: Fraction, b: Fraction, dens) -> None:
     stops as soon as it does, so a huge bound is refused at once."""
     total = 0
     for den in dens:
-        total += _floor_frac(b * den) - _ceil_frac(a * den) + 1
+        total += math.floor(b * den) - math.ceil(a * den) + 1
         if total > MAX_GRID_KEYS:
             raise ValueError(
                 f"grid on [{a}, {b}] would hold over {total} keys; "
@@ -424,7 +417,7 @@ def grid_keys(
             raise ValueError("denominator bound must be >= 1")
         _check_grid_size(a, b, range(1, denominators + 1))
         for den in range(1, denominators + 1):
-            for num in range(_ceil_frac(a * den), _floor_frac(b * den) + 1):
+            for num in range(math.ceil(a * den), math.floor(b * den) + 1):
                 if math.gcd(num, den) == 1:
                     keys.append(Fraction(num, den))
         keys.sort()
@@ -435,7 +428,7 @@ def grid_keys(
     _check_grid_size(a, b, (den,))
     return [
         Fraction(num, den)
-        for num in range(_ceil_frac(a * den), _floor_frac(b * den) + 1)
+        for num in range(math.ceil(a * den), math.floor(b * den) + 1)
     ]
 
 

@@ -9,11 +9,16 @@ integer quotients (e.g. 1/3).
 ``FuncSpec`` wraps either a univariate seed g or a bivariate F and
 evaluates at floats or numpy arrays.  ``cocycle_from_seed`` turns a seed
 into the bivariate F(x, y) = g(x+y) - g(x) - g(y).
+Each ``FuncSpec`` compiles its AST once, at construction, to Python
+source for a scalar and an array callable; the parser admits only
+whitelisted names, so that source holds only arithmetic and our helpers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -78,21 +83,13 @@ class Call:
 Expr = Union[Num, Const, Var, Unary, Bin, Call]
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-_SCALAR_FUNCS = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "abs": abs,
-    "sqrt": math.sqrt,
-}
-_ARRAY_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
+_FUNCS = {  # name: (scalar, array) implementation
+    "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "abs": (abs, np.abs),
+    "sqrt": (math.sqrt, np.sqrt),
 }
 
 
@@ -210,7 +207,7 @@ class _Parser:
             return Num(float(text))
         if kind == "name":
             if self._accept_op("("):
-                if text not in _SCALAR_FUNCS:
+                if text not in _FUNCS:
                     raise ParseError(f"unknown function {text!r}", at)
                 args = [self._expr()]
                 while self._accept_op(","):
@@ -242,72 +239,6 @@ class _Parser:
 def parse_expr(src: str, variables: tuple[str, ...] | list[str] = ("x", "y")) -> Expr:
     """Parse source text over the given variable names into an AST."""
     return _Parser(src, tuple(variables)).parse()
-
-
-# --- evaluation -------------------------------------------------------
-
-def _eval(node: Expr, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Unary):
-        return -_eval(node.operand, env)
-    if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return a ** b
-            return math.pow(a, b)
-        except ZeroDivisionError as exc:
-            raise EvaluationError("division by zero") from exc
-        except OverflowError as exc:
-            raise EvaluationError("overflow") from exc
-        except ValueError as exc:
-            raise EvaluationError(f"invalid power: {exc}") from exc
-    if isinstance(node, Call):
-        v = _eval(node.arg, env)
-        table = _ARRAY_FUNCS if isinstance(v, np.ndarray) else _SCALAR_FUNCS
-        try:
-            return table[node.func](v)
-        except ValueError as exc:
-            raise EvaluationError(f"{node.func} domain error: {exc}") from exc
-        except OverflowError as exc:
-            raise EvaluationError(f"{node.func} overflow") from exc
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def eval_expr(node: Expr, assignment: dict) -> float:
-    """Evaluate the AST at a point.
-
-    Raises EvaluationError on domain violations (division by zero, log of
-    a nonpositive value, 0^negative) and on non-finite results.
-    """
-    arrays = any(isinstance(v, np.ndarray) for v in assignment.values())
-    if arrays:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            try:
-                out = _eval(node, assignment)
-            except FloatingPointError as exc:
-                raise EvaluationError(str(exc)) from exc
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("non-finite result")
-        return out
-    out = _eval(node, assignment)
-    if not math.isfinite(out):
-        raise EvaluationError("non-finite result")
-    return out
 
 
 # --- pretty printing ---------------------------------------------------
@@ -353,6 +284,102 @@ def pretty(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# --- compilation --------------------------------------------------------
+
+def _per_value(scalar, array):
+    def call(*args):
+        if any(isinstance(a, np.ndarray) for a in args):
+            return array(*args)
+        return scalar(*args)
+
+    return call
+
+
+# The only globals of compiled code: _s_<f> are the scalar functions, and
+# _a_<f> take numpy's on an ndarray and the scalar one otherwise, so a
+# scalar value inside an array call (a constant, or the x of F(x, ys)) is
+# computed exactly as in a scalar call.
+_TABLE = {**_FUNCS, "pow": (math.pow, operator.pow)}
+_GLOBALS = {
+    "_errstate": np.errstate,
+    **{f"_s_{name}": s for name, (s, _) in _TABLE.items()},
+    **{f"_a_{name}": _per_value(s, a) for name, (s, a) in _TABLE.items()},
+}
+
+
+def _literal(value) -> str:
+    value = float(value)
+    return f"({value!r})" if math.isfinite(value) else f"float({repr(value)!r})"
+
+
+def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
+    """Python source for ``node``, calling the ``prefix`` functions, and
+    its precedence.  Python groups + - * / and unary minus as our grammar
+    does, so parentheses go only where ``pretty`` puts them, and a long
+    sum stays flat; '^' becomes a call."""
+    atom = _PREC["atom"]
+    if isinstance(node, Num):
+        return _literal(node.value), atom
+    if isinstance(node, Const):
+        return _literal(_CONSTANTS[node.name]), atom
+    if isinstance(node, Var):
+        return names[node.name], atom
+    if isinstance(node, Unary):
+        src, p = _lower(node.operand, names, prefix)
+        return (f"-{src}" if p >= _PREC["neg"] else f"-({src})"), _PREC["neg"]
+    if isinstance(node, Call) and node.func in _FUNCS:
+        return f"{prefix}{node.func}({_lower(node.arg, names, prefix)[0]})", atom
+    if isinstance(node, Bin) and node.op in ("+", "-", "*", "/", "^"):
+        (a, pa), (b, pb) = (_lower(n, names, prefix) for n in (node.left, node.right))
+        if node.op == "^":
+            return f"{prefix}pow({a}, {b})", atom
+        p = _PREC[node.op]
+        a = a if pa >= p else f"({a})"
+        b = b if pb > p else f"({b})"  # left associative
+        return f"{a} {node.op} {b}", p
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile(node: Expr, variables: tuple[str, ...], kernel: bool = False):
+    """Scalar and array callables for ``node`` over ``variables``.
+
+    With ``kernel``, ``node`` is a seed g over one variable and both take
+    (x, y) and return g(x+y) - (g(x) + g(y)); that grouping keeps the
+    result bitwise symmetric in (x, y).
+    """
+    pair = []
+    for prefix in ("_s_", "_a_"):
+        if kernel:
+            (t,) = variables
+            s, gx, gy = (_lower(node, {t: v}, prefix)[0] for v in ("s", "x", "y"))
+            # rebinding s frees the array x + y before g(x) and g(y) are built
+            params, body = ["x", "y"], f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
+        else:
+            params = [f"v{i}" for i in range(len(variables))]
+            body = f"return {_lower(node, dict(zip(variables, params)), prefix)[0]}"
+        if prefix == "_a_":
+            body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
+        scope: dict = {}
+        exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
+        pair.append(scope["fn"])
+    return tuple(pair)
+
+
+@functools.lru_cache(maxsize=256)
+def _spec(node: Expr, variables: tuple[str, ...]) -> "FuncSpec":
+    return FuncSpec(arity=len(variables), ast=node, variables=variables)
+
+
+def eval_expr(node: Expr, assignment: dict) -> float:
+    """Evaluate the AST at a point of floats or numpy arrays.
+
+    The compiled form is cached per (node, variable names).  Raises
+    EvaluationError on domain violations (division by zero, log of a
+    nonpositive value, 0^negative) and on non-finite results.
+    """
+    return _spec(node, tuple(assignment)).evaluate(*assignment.values())
+
+
 # --- function specifications ------------------------------------------
 
 BUILTIN_SEEDS = {
@@ -363,56 +390,62 @@ BUILTIN_SEEDS = {
     "hoelder": "sqrt(abs(t))",
 }
 
-KIND_BIVARIATE = "bivariate-expression"
-KIND_SEED_EXPR = "seed-expression"
-KIND_BUILTIN = "builtin-seed"
-
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A univariate seed g or a bivariate F, evaluable at reals or arrays."""
+    """A univariate seed g or a bivariate F, evaluable at reals or arrays.
+
+    With ``seed`` set this is F(x, y) = g(x+y) - g(x) - g(y), and ``ast``
+    and ``variables`` are the seed's."""
 
     arity: int
-    kind: str
-    ast: Expr | None = None
-    variables: tuple[str, ...] = ()
-    family: str | None = None
+    ast: Expr
+    variables: tuple[str, ...]
     seed: "FuncSpec | None" = field(default=None, repr=False)
+    _compiled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        compiled = _compile(self.ast, self.variables, kernel=self.seed is not None)
+        object.__setattr__(self, "_compiled", compiled)
+
+    def __reduce__(self):  # compiled code does not pickle; rebuild it
+        return FuncSpec, (self.arity, self.ast, self.variables, self.seed)
 
     def __call__(self, *args):
         return self.evaluate(*args)
 
     def evaluate(self, *args):
+        """F or g at floats or numpy arrays.  The one place where Python
+        and numpy errors and non-finite results become EvaluationError."""
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
-        vals = [a if isinstance(a, np.ndarray) else float(a) for a in args]
-        if self.seed is not None:
-            x, y = vals
-            g = self.seed
-            # grouping keeps the result bitwise symmetric in (x, y)
-            return g.evaluate(x + y) - (g.evaluate(x) + g.evaluate(y))
-        env = dict(zip(self.variables, vals))
-        return eval_expr(self.ast, env)
-
-    def label(self) -> str:
-        if self.seed is not None:
-            return f"cocycle({self.seed.label()})"
-        if self.kind == KIND_BUILTIN:
-            return f"seed:{self.family}"
-        src = pretty(self.ast)
-        return f"expr:{src}"
+        scalar, array = self._compiled
+        fn = scalar
+        for a in args:
+            if type(a) is not float:  # convert, or take the array variant
+                if any(isinstance(b, np.ndarray) for b in args):
+                    fn = array
+                args = [b if isinstance(b, np.ndarray) else float(b) for b in args]
+                break
+        try:
+            out = fn(*args)
+        except (ZeroDivisionError, ValueError, OverflowError, FloatingPointError) as exc:
+            raise EvaluationError(str(exc)) from exc
+        if not (math.isfinite(out) if fn is scalar else np.all(np.isfinite(out))):
+            raise EvaluationError("non-finite result")
+        return out
 
 
 def bivariate_expression(src: str, variables: tuple[str, str] = ("x", "y")) -> FuncSpec:
     """F(x, y) from source text over two variables."""
     ast = parse_expr(src, variables)
-    return FuncSpec(arity=2, kind=KIND_BIVARIATE, ast=ast, variables=tuple(variables))
+    return FuncSpec(arity=2, ast=ast, variables=tuple(variables))
 
 
 def seed_expression(src: str, variable: str = "t") -> FuncSpec:
     """Univariate seed g from source text."""
     ast = parse_expr(src, (variable,))
-    return FuncSpec(arity=1, kind=KIND_SEED_EXPR, ast=ast, variables=(variable,))
+    return FuncSpec(arity=1, ast=ast, variables=(variable,))
 
 
 def builtin_seed(name: str) -> FuncSpec:
@@ -422,18 +455,11 @@ def builtin_seed(name: str) -> FuncSpec:
     except KeyError:
         raise ValueError(f"unknown builtin seed {name!r}") from None
     ast = parse_expr(src, ("t",))
-    return FuncSpec(arity=1, kind=KIND_BUILTIN, ast=ast, variables=("t",), family=name)
+    return FuncSpec(arity=1, ast=ast, variables=("t",))
 
 
 def cocycle_from_seed(g: FuncSpec) -> FuncSpec:
     """Bivariate F(x, y) = g(x+y) - g(x) - g(y) induced by a seed g."""
     if g.arity != 1:
         raise ValueError("seed must be univariate")
-    return FuncSpec(
-        arity=2,
-        kind=g.kind,
-        ast=g.ast,
-        variables=g.variables,
-        family=g.family,
-        seed=g,
-    )
+    return FuncSpec(arity=2, ast=g.ast, variables=g.variables, seed=g)

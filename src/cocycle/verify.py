@@ -219,36 +219,22 @@ def _axis(a: float, b: float, step: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def _eval_axis(fn, xs: np.ndarray) -> np.ndarray:
+def _sample(fn, *coords: np.ndarray) -> np.ndarray:
+    """fn at the points of equally shaped coordinate arrays: one array
+    call, or one scalar call per point when fn takes no arrays."""
     try:
-        vals = np.asarray(fn(xs), dtype=np.float64)
-        if vals.shape == xs.shape:
-            return vals
+        vals = np.asarray(fn(*coords), dtype=np.float64)
     except (TypeError, LookupError):
-        pass
-    return np.array([float(fn(float(x))) for x in xs], dtype=np.float64)
-
-
-def _require_finite(vals: np.ndarray) -> np.ndarray:
-    # NaN would propagate through the window maxima (or, pairwise, drop
-    # out of them unseen), so a non-finite sample is an evaluation error.
+        vals = None
+    if vals is None or vals.shape != coords[0].shape:
+        points = zip(*(c.ravel() for c in coords))
+        vals = np.array([float(fn(*map(float, p))) for p in points], dtype=np.float64)
+        vals = vals.reshape(coords[0].shape)
+    # NaN would propagate through the window maxima (or drop out of a
+    # running max unseen), so a non-finite sample is an evaluation error.
     if not np.isfinite(vals).all():
-        raise EvaluationError("function is not finite on the sample grid")
+        raise EvaluationError("function is not finite at the sample points")
     return vals
-
-
-def _eval_grid(fn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    try:
-        vals = np.asarray(fn(X, Y), dtype=np.float64)
-        if vals.shape == X.shape:
-            return vals
-    except (TypeError, LookupError):
-        pass
-    return np.array(
-        [[float(fn(float(x), float(y))) for y in ys] for x in xs],
-        dtype=np.float64,
-    )
 
 
 def _widen(rm: np.ndarray) -> None:
@@ -322,12 +308,12 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
     if shape == "1d":
         a, b = bounds
         xs = _axis(a, b, grid_step)
-        vals = _require_finite(_eval_axis(fn, xs))
+        vals = _sample(fn, xs)
         return _window_max_1d(vals, float(xs[1] - xs[0]), delta)
     a, b, c, d = bounds
     xs = _axis(a, b, grid_step)
     ys = _axis(c, d, grid_step)
-    vals = _require_finite(_eval_grid(fn, xs, ys))
+    vals = _sample(fn, *np.meshgrid(xs, ys, indexing="ij"))
     return _window_max_2d(vals, float(xs[1] - xs[0]), float(ys[1] - ys[0]), delta)
 
 
@@ -336,7 +322,8 @@ def modulus_probe(fn, delta: float, domain, anchors: int = 33) -> float:
     delta from an anchor lattice, probed along the axes and diagonals.
 
     Unlike ``modulus_estimate`` the cost is independent of delta, so this
-    serves the small-delta regime where a full grid is unaffordable.
+    serves the small-delta regime where a full grid is unaffordable.  A
+    sampled value that is not finite raises EvaluationError.
     """
     delta = float(delta)
     if delta <= 0:
@@ -347,21 +334,21 @@ def modulus_probe(fn, delta: float, domain, anchors: int = 33) -> float:
     if shape == "1d":
         a, b = bounds
         xs = np.linspace(a, b, anchors)
-        vals = _eval_axis(fn, xs)
+        vals = _sample(fn, xs)
         worst = 0.0
         for sign in (1.0, -1.0):
             target = xs + sign * delta
             mask = (target >= a) & (target <= b)
             if not mask.any():
                 continue
-            moved = _eval_axis(fn, target[mask])
+            moved = _sample(fn, target[mask])
             worst = max(worst, float(np.max(np.abs(moved - vals[mask]))))
         return worst
     a, b, c, d = bounds
     xs = np.linspace(a, b, anchors)
     ys = np.linspace(c, d, anchors)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    base = _eval_grid(fn, xs, ys)
+    base = _sample(fn, X, Y)
     diag = delta / math.sqrt(2.0)
     directions = [
         (delta, 0.0), (-delta, 0.0), (0.0, delta), (0.0, -delta),
@@ -374,13 +361,7 @@ def modulus_probe(fn, delta: float, domain, anchors: int = 33) -> float:
         mask = (tx >= a) & (tx <= b) & (ty >= c) & (ty <= d)
         if not mask.any():
             continue
-        try:
-            moved = np.asarray(fn(tx[mask], ty[mask]), dtype=np.float64)
-        except (TypeError, LookupError):
-            moved = np.array(
-                [float(fn(float(px), float(py))) for px, py in zip(tx[mask], ty[mask])],
-                dtype=np.float64,
-            )
+        moved = _sample(fn, tx[mask], ty[mask])
         worst = max(worst, float(np.max(np.abs(moved - base[mask]))))
     return worst
 
@@ -451,7 +432,7 @@ def check_bound_c0(
     box = ((-float(M), float(M)), (-float(M), float(M)))
     kernel_step = f_step / 4.0
     xs = _axis(-float(M), float(M), kernel_step)
-    kernel_vals = _require_finite(_eval_grid(F, xs, xs))
+    kernel_vals = _sample(F, *np.meshgrid(xs, xs, indexing="ij"))
     actual_step = float(xs[1] - xs[0])
 
     f00 = float(F(0.0, 0.0))

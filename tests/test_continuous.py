@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,22 @@ class TestLatticeValues:
         with pytest.raises(EvaluationError) as exc:
             h_rational(F, Fraction(1, 4))
         assert exc.value.point == (0.25, 0.25)
+
+    def test_pole_on_one_row_keeps_later_rows_vectorized(self):
+        kernel = bivariate_expression("2*x*y + 1/(x - 1/200)")
+        array_calls = []
+
+        def F(x, y):
+            array_calls.append(isinstance(y, np.ndarray))
+            return kernel(x, y)
+
+        solver = LatticeSolver(F)
+        with pytest.raises(EvaluationError) as exc:
+            solver.h(Fraction(1, 200))  # its row of 199 falls back to scalars
+        assert exc.value.point == (0.005, 0.005)
+        array_calls.clear()
+        solver.h(Fraction(1, 300))
+        assert array_calls == [True]  # the row of 299 is one array call
 
 
 class TestRoundTrip:

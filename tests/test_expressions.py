@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import pickle
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from cocycle import (
     BUILTIN_SEEDS,
     EvaluationError,
+    FuncSpec,
     ParseError,
     bivariate_expression,
     builtin_seed,
@@ -19,8 +23,123 @@ from cocycle import (
     pretty,
     seed_expression,
 )
+from cocycle.expressions import Bin, Call, Const, Num, Unary, Var
 
 finite_floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+# --- reference: the tree-walking interpreter that compilation replaced -----
+
+_REF_CONSTANTS = {"pi": math.pi, "e": math.e}
+_REF_FUNCS = {
+    "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "abs": (abs, np.abs),
+    "sqrt": (math.sqrt, np.sqrt),
+}
+
+
+def _eval(node, env):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return _REF_CONSTANTS[node.name]
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Unary):
+        return -_eval(node.operand, env)
+    if isinstance(node, Bin):
+        a = _eval(node.left, env)
+        b = _eval(node.right, env)
+        try:
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if node.op == "/":
+                return a / b
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                return a ** b
+            return math.pow(a, b)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise EvaluationError(str(exc)) from exc
+    if isinstance(node, Call):
+        v = _eval(node.arg, env)
+        scalar, array = _REF_FUNCS[node.func]
+        try:
+            return array(v) if isinstance(v, np.ndarray) else scalar(v)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(str(exc)) from exc
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _finite(out):
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("non-finite result")
+    return out
+
+
+def reference(node, env):
+    """The old eval_expr: numpy errors and non-finite results raise."""
+    if any(isinstance(v, np.ndarray) for v in env.values()):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            try:
+                out = _eval(node, env)
+            except FloatingPointError as exc:
+                raise EvaluationError(str(exc)) from exc
+        return _finite(out)
+    return _finite(_eval(node, env))
+
+
+def reference_kernel(seed, x, y):
+    """The old seed kernel g(x+y) - (g(x) + g(y)), each g walked on its
+    own, with the finiteness check the compiled kernel ends with."""
+    g = [reference(seed, {"t": v}) for v in (x + y, x, y)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(g[0] - (g[1] + g[2]))
+
+
+def outcome(fn, *args):
+    """fn's value, or EvaluationError when it raises one."""
+    try:
+        return fn(*args)
+    except EvaluationError:
+        return EvaluationError
+
+
+def assert_same(got, want):
+    if want is EvaluationError or got is EvaluationError:
+        assert got is want
+    else:
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+def exprs(variables):
+    leaves = st.one_of(
+        st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e3, 1e300, math.inf])),
+        st.builds(Num, st.floats(0, 10)),
+        st.builds(Const, st.sampled_from(sorted(_REF_CONSTANTS))),
+        st.builds(Var, st.sampled_from(variables)),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Unary, sub),
+            st.builds(Bin, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+            st.builds(Call, st.sampled_from(sorted(_REF_FUNCS)), sub),
+        ),
+        max_leaves=12,
+    )
+
+
+points = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), finite_floats)
+point_arrays = st.lists(points, min_size=1, max_size=5).map(np.array)
 
 
 def ev(src, **env):
@@ -121,6 +240,66 @@ class TestArrayEvaluation:
         assert np.array_equal(out, np.array([1.0, 2.0, 3.0]))
 
 
+class TestCompiledMatchesReference:
+    @given(exprs(["x", "y"]), points, points)
+    @settings(max_examples=400, deadline=None)
+    def test_scalar(self, node, x, y):
+        F = FuncSpec(arity=2, ast=node, variables=("x", "y"))
+        assert_same(outcome(F, x, y), outcome(reference, node, {"x": x, "y": y}))
+
+    @given(exprs(["x", "y"]), st.one_of(points, point_arrays), point_arrays)
+    @settings(max_examples=400, deadline=None)
+    def test_array_and_mixed(self, node, x, ys):
+        F = FuncSpec(arity=2, ast=node, variables=("x", "y"))
+        if np.ndim(x):
+            x, ys = x[: len(ys)], ys[: len(x)]
+        assert_same(outcome(F, x, ys), outcome(reference, node, {"x": x, "y": ys}))
+        assert_same(outcome(F, ys, x), outcome(reference, node, {"x": ys, "y": x}))
+
+    @pytest.mark.parametrize("src", ["exp(1)*x", "2^0.5*y", "pi^2", "e^x + log(2)*y", "1/0*x"])
+    @pytest.mark.parametrize("x, y", [(0.75, np.array([0.5, 2.0])), (np.array([0.5, 2.0]), 0.75), (0.75, 1.5)])
+    def test_constant_subtrees(self, src, x, y):
+        node = parse_expr(src)
+        F = bivariate_expression(src)
+        assert_same(outcome(F, x, y), outcome(reference, node, {"x": x, "y": y}))
+
+    @given(exprs(["t"]), st.one_of(points, point_arrays), st.one_of(points, point_arrays))
+    @settings(max_examples=400, deadline=None)
+    def test_seed_kernel_symmetric_and_exact(self, seed, x, y):
+        if np.ndim(x) and np.ndim(y):
+            x, y = x[: len(y)], y[: len(x)]
+        F = cocycle_from_seed(FuncSpec(arity=1, ast=seed, variables=("t",)))
+        got = outcome(F, x, y)
+        assert_same(got, outcome(reference_kernel, seed, x, y))
+        assert_same(outcome(F, y, x), got)
+
+    @pytest.mark.parametrize("src", ["1/(1/x)", "exp(-1/abs(x)) + y"])
+    def test_array_error_raises_where_it_occurs(self, src):
+        # 1/0 is inf and 1/inf is 0 again, so the end result is finite
+        with pytest.raises(EvaluationError):
+            bivariate_expression(src)(np.array([0.0, 1.0]), 1.0)
+
+    def test_eval_expr_matches_funcspec(self):
+        node = parse_expr("x^2 - sin(y)/3")
+        F = bivariate_expression("x^2 - sin(y)/3")
+        ys = np.linspace(-1, 1, 7)
+        assert eval_expr(node, {"x": 0.5, "y": 2.0}) == F(0.5, 2.0)
+        assert np.array_equal(eval_expr(node, {"x": 0.5, "y": ys}), F(0.5, ys))
+
+
+class TestCallCost:
+    def test_scalar_kernel_call_under_3us(self):
+        # the tree-walking interpreter took about 12 us per call
+        F = cocycle_from_seed(builtin_seed("expo"))
+        batches = []
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(10_000):
+                F(0.3, 0.7)
+            batches.append((time.perf_counter() - start) / 10_000)
+        assert statistics.median(batches) < 3e-6
+
+
 class TestPretty:
     @pytest.mark.parametrize(
         "src",
@@ -178,6 +357,12 @@ class TestFuncSpec:
         g = builtin_seed("hoelder")
         assert g(-0.25) == 0.5
         assert g(0.0) == 0.0
+
+    def test_pickle_round_trip(self):
+        F = cocycle_from_seed(builtin_seed("sine"))
+        G = pickle.loads(pickle.dumps(F))
+        assert G == F
+        assert G(0.3, 0.7) == F(0.3, 0.7)
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):

@@ -319,6 +319,16 @@ class TestNonFiniteKernel:
         with pytest.raises(EvaluationError):
             check_bound_c0(self._nan_at_corner, oracle, [Fraction(1, 8)], 1)
 
+    def test_modulus_probe_rejects_nan_1d(self):
+        # max(worst, nan) used to drop the direction and return 0.0
+        f = lambda t: math.nan if float(t) == 1.0 else float(t)
+        with pytest.raises(EvaluationError):
+            modulus_probe(f, 0.25, (0.0, 1.0))
+
+    def test_modulus_probe_rejects_nan_2d(self):
+        with pytest.raises(EvaluationError):
+            modulus_probe(self._nan_at_corner, 0.25, ((0.0, 1.0), (0.0, 1.0)))
+
 
 class TestModulusProbe:
     def test_identity_map(self):
