@@ -17,7 +17,6 @@ from .continuous import (
     ReconstructedFunction,
     grid_keys,
     h_rational,
-    reconstruct_grid,
     reconstruct_point,
     reconstruct_table,
 )
@@ -37,11 +36,9 @@ from .expressions import (
 from .rational import (
     EuclidChain,
     Rational,
-    approximants,
     euclid_chain,
     format_rational,
     parse_rational,
-    reduce,
 )
 from .smooth import (
     DerivativeProfile,
@@ -54,7 +51,6 @@ from .smooth import (
 )
 from .verify import (
     CheckResult,
-    ModulusProfile,
     VerificationReport,
     affine_difference,
     check_bound_c0,
@@ -62,7 +58,6 @@ from .verify import (
     kurepa_residual,
     modulus_estimate,
     modulus_probe,
-    modulus_profile,
     symmetry_residual,
 )
 
@@ -74,10 +69,8 @@ __all__ = [
     "Rational",
     "EuclidChain",
     "euclid_chain",
-    "approximants",
     "parse_rational",
     "format_rational",
-    "reduce",
     # expressions
     "ParseError",
     "EvaluationError",
@@ -98,7 +91,6 @@ __all__ = [
     "h_rational",
     "reconstruct_point",
     "reconstruct_table",
-    "reconstruct_grid",
     "grid_keys",
     # smooth
     "QuadratureError",
@@ -111,13 +103,11 @@ __all__ = [
     # verify
     "CheckResult",
     "VerificationReport",
-    "ModulusProfile",
     "kurepa_residual",
     "symmetry_residual",
     "cocycle_residual",
     "modulus_estimate",
     "modulus_probe",
-    "modulus_profile",
     "check_bound_c0",
     "affine_difference",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -37,7 +38,7 @@ from .expressions import (
     cocycle_from_seed,
     seed_expression,
 )
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 from .smooth import QuadratureError, reconstruct_ck_table
 from .verify import (
     VerificationReport,
@@ -83,7 +84,6 @@ _CASTS = {
     "format": _cast_format,
     "engine": _cast_engine,
     "box": float,
-    "epsilon": float,
     "tolerance": float,
     "samples": int,
     "rng_seed": int,
@@ -106,7 +106,6 @@ class RunConfig:
     format: str = "csv"
     engine: str = "euclid-chain"
     box: float = 2.0
-    epsilon: float = 1e-6
     tolerance: float = 1e-9
     samples: int = 1000
     rng_seed: int = 0
@@ -172,7 +171,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     cfg.format = pick("format", cfg.format)
     cfg.engine = pick("engine", cfg.engine)
     cfg.box = pick("box", cfg.box)
-    cfg.epsilon = pick("epsilon", cfg.epsilon)
     cfg.tolerance = pick("tolerance", cfg.tolerance)
     cfg.samples = pick("samples", cfg.samples)
     cfg.rng_seed = pick("rng_seed", cfg.rng_seed)
@@ -180,6 +178,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     cfg.dyadic_level = pick("dyadic_level", None)
     interval = pick("interval", None)
     cfg.interval = tuple(interval) if interval is not None else None
+    if not math.isfinite(cfg.box):
+        raise ValueError(f"--box must be finite, got {cfg.box}")
+    if cfg.interval is not None and not all(map(math.isfinite, cfg.interval)):
+        raise ValueError(f"--interval endpoints must be finite, got {cfg.interval}")
     deltas = getattr(args, "delta", None)
     if deltas:
         cfg.deltas = [d for group in deltas for d in (group if isinstance(group, list) else [group])]
@@ -228,7 +230,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> int:
     if cfg.engine == "ck":
         table = reconstruct_ck_table(F, keys, tol=cfg.tolerance)
     else:
-        table = reconstruct_table(F, keys, engine=cfg.engine, epsilon=cfg.epsilon)
+        table = reconstruct_table(F, keys, engine=cfg.engine)
     if cfg.format == "json":
         _write_text(cfg.out, json.dumps(table.to_json_obj(), indent=2) + "\n")
     else:
@@ -252,7 +254,7 @@ def _cmd_verify_bound(cfg: RunConfig) -> int:
     if cfg.engine == "ck":
         table = reconstruct_ck_table(F, keys, tol=cfg.tolerance)
     else:
-        table = reconstruct_table(F, keys, engine=cfg.engine, epsilon=cfg.epsilon)
+        table = reconstruct_table(F, keys, engine=cfg.engine)
     report = check_bound_c0(F, table, cfg.deltas, M, tolerance=cfg.tolerance)
     return _emit_report(cfg, report)
 
@@ -273,7 +275,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
 
     payload = {
         "h_rational": {
-            "point": f"{stress.numerator}/{stress.denominator}",
+            "point": format_rational(stress),
             "value": value,
             "seconds": chain_seconds,
         },
@@ -325,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--denominators", type=int, help="all reduced p/q with q up to N")
     p_rec.add_argument("--dyadic-level", type=int, dest="dyadic_level", help="grid k/2^j")
     p_rec.add_argument("--engine", choices=_ENGINE_CHOICES)
-    p_rec.add_argument("--epsilon", type=float, help="limit tolerance for real points")
     p_rec.add_argument("--format", choices=("csv", "json"))
 
     p_bound = sub.add_parser(
@@ -346,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default twice the largest delta denominator)",
     )
     p_bound.add_argument("--engine", choices=_ENGINE_CHOICES)
-    p_bound.add_argument("--epsilon", type=float)
 
     p_bench = sub.add_parser("bench", parents=[common], help="lattice solver timings")
     del p_bench

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expressions import EvaluationError
-from .rational import ONE_HALF, euclid_chain
+from .rational import ONE_HALF, euclid_chain, format_rational
 
 __all__ = [
     "ConvergenceError",
@@ -48,7 +48,6 @@ __all__ = [
     "h_rational",
     "reconstruct_point",
     "reconstruct_table",
-    "reconstruct_grid",
     "grid_keys",
 ]
 
@@ -182,7 +181,9 @@ class LatticeSolver:
     def _h_chain(self, r: Fraction) -> float:
         chain = euclid_chain(r)
         n = chain.n
-        rems = chain.remainders()
+        # p_0 and then each step's remainder; euclid_chain builds a valid
+        # chain, which EuclidChain has already checked once
+        rems = [r.numerator] + [p for _, p in chain.steps]
         vals = [Fraction(p, n) for p in rems]
         h_next = 0.0  # h at the terminal remainder, which is 0
         for j in range(len(chain.steps) - 1, -1, -1):
@@ -219,6 +220,8 @@ def h_rational(
 
 
 def _dyadic_round(t: float, level: int) -> Fraction:
+    """Nearest multiple of 2**-level to the float t, ties rounding down,
+    so |t - q| <= 2**-(level+1)."""
     scaled = math.ldexp(t, level)
     num = math.floor(scaled)
     if scaled - num > 0.5:
@@ -312,7 +315,6 @@ class ReconstructedFunction:
 
     samples: dict[Fraction, float]
     engine: str
-    epsilon: float
     normalization: dict[str, float] = field(default_factory=dict)
 
     def keys(self) -> list[Fraction]:
@@ -337,10 +339,7 @@ class ReconstructedFunction:
             t_text = exact[k] if exact[k] is not None else f"{float(k):.17g}"
             row = f"{t_text},{v:.17g}"
             if with_exact:
-                row += "," + (
-                    "" if exact[k] is not None
-                    else f"{k.numerator}/{k.denominator}"
-                )
+                row += "," + ("" if exact[k] is not None else format_rational(k))
             lines.append(row)
         return "\n".join(lines) + "\n"
 
@@ -353,11 +352,10 @@ class ReconstructedFunction:
         for k, v in self.samples.items():
             row: dict = {"t": float(k), "f": v}
             if _terminating_decimal(k) is None:
-                row["t_exact"] = f"{k.numerator}/{k.denominator}"
+                row["t_exact"] = format_rational(k)
             rows.append(row)
         return {
             "engine": self.engine,
-            "epsilon": self.epsilon,
             "normalization": self.normalization,
             "samples": rows,
         }
@@ -367,7 +365,6 @@ def reconstruct_table(
     F,
     keys,
     engine: str = "euclid-chain",
-    epsilon: float = 1e-6,
     *,
     solver: LatticeSolver | None = None,
 ) -> ReconstructedFunction:
@@ -378,7 +375,6 @@ def reconstruct_table(
     return ReconstructedFunction(
         samples=samples,
         engine=engine,
-        epsilon=float(epsilon),
         normalization={"f(0)": -solver.F00, "f(1)": -solver.F00},
     )
 
@@ -430,24 +426,3 @@ def grid_keys(
         Fraction(num, den)
         for num in range(math.ceil(a * den), math.floor(b * den) + 1)
     ]
-
-
-def reconstruct_grid(
-    F,
-    interval,
-    resolution: int,
-    engine: str = "euclid-chain",
-    epsilon: float = 1e-6,
-) -> ReconstructedFunction:
-    """Reconstruct f on a rational grid over [a, b].
-
-    ``resolution`` is a denominator bound for the euclid-chain engine and
-    a dyadic level for the dyadic engine.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "dyadic":
-        keys = grid_keys(interval, dyadic_level=resolution)
-    else:
-        keys = grid_keys(interval, denominators=resolution)
-    return reconstruct_table(F, keys, engine=engine, epsilon=epsilon)

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, quotient chains, and rational approximation.
+"""Exact rationals: parsing, formatting and quotient chains.
 
 Rationals are plain ``fractions.Fraction`` values: arbitrary precision,
 always stored reduced, denominator positive.  Everything downstream keys
@@ -8,7 +8,6 @@ to identify a lattice point.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,19 +22,10 @@ __all__ = [
     "Rational",
     "ONE_HALF",
     "EuclidChain",
-    "reduce",
     "parse_rational",
     "format_rational",
     "euclid_chain",
-    "approximants",
 ]
-
-
-def reduce(num: int, den: int) -> Rational:
-    """Return num/den in lowest terms with a positive denominator."""
-    if den == 0:
-        raise ValueError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Rational:
@@ -44,12 +34,18 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"invalid rational literal {text!r}")
     if "/" in text:
         num, den = text.split("/")
-        return reduce(int(num), int(den))
+        if int(den) == 0:
+            raise ValueError("denominator must be nonzero")
+        return Fraction(int(num), int(den))
     return Fraction(int(text))
 
 
 def format_rational(r: Rational) -> str:
-    """Render as 'p/n' (denominator kept even when it is 1)."""
+    """Render as 'p/n' (denominator kept even when it is 1).
+
+    The one text form of an exact key in CSV, JSON and NDJSON output, and
+    the inverse of ``parse_rational``.
+    """
     return f"{r.numerator}/{r.denominator}"
 
 
@@ -113,66 +109,3 @@ def euclid_chain(r: Rational) -> EuclidChain:
         m, p = divmod(n, p)
         steps.append((m, p))
     return EuclidChain(n=n, steps=tuple(steps))
-
-
-def _dyadic_near(value: Fraction, level: int) -> Rational:
-    # Nearest multiple of 2**-level; ties round down.
-    scaled = value * (1 << level)
-    num = scaled.numerator // scaled.denominator
-    if scaled - num > ONE_HALF:
-        num += 1
-    return Fraction(num, 1 << level)
-
-
-def _convergents(value: Fraction, count: int) -> list[Rational]:
-    # Standard continued-fraction recurrence.  The leading integer-part
-    # convergent is dropped; a terminating expansion repeats its last
-    # (exact) convergent to fill the requested count.
-    num, den = value.numerator, value.denominator
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    out: list[Rational] = []
-    first = True
-    while den:
-        a, rem = divmod(num, den)
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
-        num, den = den, rem
-        if first:
-            first = False
-            continue
-        out.append(Fraction(p, q))
-        if len(out) == count:
-            break
-    if not out:
-        out.append(Fraction(p_prev, q_prev))  # integer target
-    while len(out) < count:
-        out.append(out[-1])
-    return out
-
-
-def approximants(t: float | Rational, strategy: str, count: int) -> list[Rational]:
-    """Rational sequence converging to t.
-
-    strategy 'dyadic': nearest multiple of 2**-j for j = 1..count (ties
-    round down), so |t - q_j| <= 2**-(j+1).  strategy 'convergents':
-    continued-fraction convergents of t, which satisfy
-    |t - q| < 1/den(q)**2.  Floats are treated through their exact binary
-    value; exact rationals may be passed directly.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if isinstance(t, Fraction):
-        exact = t
-    else:
-        tf = float(t)
-        if not math.isfinite(tf):
-            raise ValueError("t must be finite")
-        exact = Fraction(tf)
-    if strategy == "dyadic":
-        return [_dyadic_near(exact, j) for j in range(1, count + 1)]
-    if strategy == "convergents":
-        return _convergents(exact, count)
-    raise ValueError(f"unknown strategy {strategy!r}")

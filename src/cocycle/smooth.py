@@ -124,6 +124,17 @@ def _adaptive(
     )
 
 
+def _integrate(fn, a: float, b: float, tol: float, max_depth: int) -> float:
+    """Integral of fn over [a, b], a <= b, by adaptive Simpson quadrature."""
+    if a == b:
+        return 0.0
+    fa, fb = fn(a), fn(b)
+    mid = 0.5 * (a + b)
+    fm = fn(mid)
+    whole = _simpson(fa, fm, fb, b - a)
+    return _adaptive(fn, a, b, fa, fm, fb, whole, tol, max_depth)
+
+
 def antiderivative(h, x: float, tol: float = 1e-10, max_depth: int = 50) -> float:
     """Integral of h from 0 to x by adaptive Simpson quadrature.
 
@@ -133,14 +144,9 @@ def antiderivative(h, x: float, tol: float = 1e-10, max_depth: int = 50) -> floa
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = float(x)
-    if x == 0.0:
-        return 0.0
-    a, b, sign = (0.0, x, 1.0) if x > 0 else (x, 0.0, -1.0)
-    fa, fb = h(a), h(b)
-    mid = 0.5 * (a + b)
-    fm = h(mid)
-    whole = _simpson(fa, fm, fb, b - a)
-    return sign * _adaptive(h, a, b, fa, fm, fb, whole, tol, max_depth)
+    if x < 0:
+        return -_integrate(h, x, 0.0, tol, max_depth)
+    return _integrate(h, 0.0, x, tol, max_depth)
 
 
 def reconstruct_ck_point(F, t, tol: float = 1e-9) -> float:
@@ -161,31 +167,21 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
     ordered = sorted({Fraction(k) for k in keys})
     anchors = sorted({Fraction(0), *ordered})
     zero_at = anchors.index(Fraction(0))
-
-    def segment(a: Fraction, b: Fraction) -> float:
-        width = float(b) - float(a)
-        if width == 0.0:
-            return 0.0
-        fa, fb = profile.h1(float(a)), profile.h1(float(b))
-        mid = 0.5 * (float(a) + float(b))
-        fm = profile.h1(mid)
-        whole = _simpson(fa, fm, fb, width)
-        return _adaptive(profile.h1, float(a), float(b), fa, fm, fb, whole, tol, 50)
+    xs = [float(a) for a in anchors]
 
     integral: dict[Fraction, float] = {Fraction(0): 0.0}
     acc = 0.0
     for i in range(zero_at + 1, len(anchors)):
-        acc += segment(anchors[i - 1], anchors[i])
+        acc += _integrate(profile.h1, xs[i - 1], xs[i], tol, 50)
         integral[anchors[i]] = acc
     acc = 0.0
     for i in range(zero_at - 1, -1, -1):
-        acc -= segment(anchors[i], anchors[i + 1])
+        acc -= _integrate(profile.h1, xs[i], xs[i + 1], tol, 50)
         integral[anchors[i]] = acc
 
     samples = {k: -_SQRT2 * integral[k] - f00 for k in ordered}
     return ReconstructedFunction(
         samples=samples,
         engine="ck",
-        epsilon=float(tol),
         normalization={"f(0)": -f00, "f'(0)": 0.0},
     )

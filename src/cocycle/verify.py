@@ -19,18 +19,16 @@ import numpy as np
 
 from .continuous import LatticeSolver, ReconstructedFunction
 from .expressions import EvaluationError
-from .rational import ONE_HALF
+from .rational import ONE_HALF, format_rational
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "ModulusProfile",
     "kurepa_residual",
     "symmetry_residual",
     "cocycle_residual",
     "modulus_estimate",
     "modulus_probe",
-    "modulus_profile",
     "check_bound_c0",
     "affine_difference",
 ]
@@ -49,7 +47,7 @@ _GRID_AXIS_LIMIT = 1024
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return format_rational(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -101,24 +99,11 @@ class VerificationReport:
         return "\n".join(json.dumps(r.to_json_obj()) for r in self.results) + "\n"
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
-    """Grid estimates of a modulus of continuity, per delta."""
-
-    entries: tuple[tuple[float, float], ...]
-    domain: tuple
-    grid_step: float
-
-    def omega(self, delta: float) -> float:
-        for d, w in self.entries:
-            if d == delta:
-                return w
-        raise KeyError(f"no entry for delta={delta}")
-
-
 # --- residual checks ---------------------------------------------------
 
-def _residual_scan(points, residual_fn):
+def _residual_report(check: str, points, residual_fn, tolerance: float) -> VerificationReport:
+    """One-result report of the largest |residual_fn(pt)| over the points,
+    with the point attaining it as the witness."""
     worst = -1.0
     witness = None
     for pt in points:
@@ -128,7 +113,15 @@ def _residual_scan(points, residual_fn):
             witness = pt
     if witness is None:
         raise ValueError("empty sample set")
-    return worst, witness
+    result = CheckResult(
+        check=check,
+        params={"samples": len(points) if hasattr(points, "__len__") else None},
+        passed=worst <= tolerance,
+        tolerance=tolerance,
+        max_residual=worst,
+        witness=tuple(witness),
+    )
+    return VerificationReport([result])
 
 
 def kurepa_residual(F, triples, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
@@ -138,16 +131,7 @@ def kurepa_residual(F, triples, tolerance: float = DEFAULT_TOLERANCE) -> Verific
         x, y, z = (float(v) for v in pt)
         return F(x + y, z) + F(x, y) - F(y, z) - F(x, y + z)
 
-    worst, witness = _residual_scan(triples, resid)
-    result = CheckResult(
-        check="kurepa",
-        params={"samples": len(list(triples)) if hasattr(triples, "__len__") else None},
-        passed=worst <= tolerance,
-        tolerance=tolerance,
-        max_residual=worst,
-        witness=tuple(witness),
-    )
-    return VerificationReport([result])
+    return _residual_report("kurepa", triples, resid, tolerance)
 
 
 def symmetry_residual(F, pairs, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
@@ -157,22 +141,7 @@ def symmetry_residual(F, pairs, tolerance: float = DEFAULT_TOLERANCE) -> Verific
         x, y = (float(v) for v in pt)
         return F(x, y) - F(y, x)
 
-    worst, witness = _residual_scan(pairs, resid)
-    result = CheckResult(
-        check="symmetry",
-        params={"samples": len(list(pairs)) if hasattr(pairs, "__len__") else None},
-        passed=worst <= tolerance,
-        tolerance=tolerance,
-        max_residual=worst,
-        witness=tuple(witness),
-    )
-    return VerificationReport([result])
-
-
-def _eval_f(f, t):
-    if isinstance(f, ReconstructedFunction):
-        return f.value_at(t)
-    return float(f(t))
+    return _residual_report("symmetry", pairs, resid, tolerance)
 
 
 def cocycle_residual(F, f, pairs, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
@@ -186,18 +155,9 @@ def cocycle_residual(F, f, pairs, tolerance: float = DEFAULT_TOLERANCE) -> Verif
         x, y = pt
         total = x + y  # exact when x, y are Fractions
         lhs = float(F(float(x), float(y)))
-        return lhs - (_eval_f(f, total) - _eval_f(f, x) - _eval_f(f, y))
+        return lhs - (float(f(total)) - float(f(x)) - float(f(y)))
 
-    worst, witness = _residual_scan(pairs, resid)
-    result = CheckResult(
-        check="cocycle",
-        params={"samples": len(list(pairs)) if hasattr(pairs, "__len__") else None},
-        passed=worst <= tolerance,
-        tolerance=tolerance,
-        max_residual=worst,
-        witness=tuple(witness),
-    )
-    return VerificationReport([result])
+    return _residual_report("cocycle", pairs, resid, tolerance)
 
 
 # --- modulus estimation -----------------------------------------------
@@ -366,14 +326,6 @@ def modulus_probe(fn, delta: float, domain, anchors: int = 33) -> float:
     return worst
 
 
-def modulus_profile(fn, deltas, domain, grid_step: float) -> ModulusProfile:
-    """Modulus estimates for several deltas on one shared grid."""
-    entries = tuple(
-        (float(d), modulus_estimate(fn, float(d), domain, grid_step)) for d in deltas
-    )
-    return ModulusProfile(entries=entries, domain=tuple(domain), grid_step=float(grid_step))
-
-
 # --- bound checks ------------------------------------------------------
 
 def _as_bound_delta(delta) -> Fraction:
@@ -504,7 +456,7 @@ def affine_difference(f1, f2, grid) -> tuple[float, float, float]:
     if len(pts) < 2:
         raise ValueError("need at least 2 grid points")
     xs = np.array([float(t) for t in pts])
-    diffs = np.array([_eval_f(f1, t) - _eval_f(f2, t) for t in pts])
+    diffs = np.array([float(f1(t)) - float(f2(t)) for t in pts])
     slope, intercept = np.polyfit(xs, diffs, 1)
     residual = float(np.max(np.abs(diffs - (slope * xs + intercept))))
     return float(slope), float(intercept), residual

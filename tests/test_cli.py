@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,14 @@ GOLDEN_QUARTER_CSV = """t,f,t_exact
 0.75,-0.1875,
 1,0,
 """
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+NONFINITE_ARGS = [
+    ["verify-bound", "--seed", "cube", "--delta", "1/8", "--box", "inf"],
+    ["reconstruct", "--seed", "square", "--interval", "0", "inf", "--denominators", "4"],
+]
 
 
 def run_out(args, capsys):
@@ -111,6 +120,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", NONFINITE_ARGS)
+    def test_nonfinite_flag_is_two(self, argv, capsys):
+        code, out, err = run_out(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--seed", "square", "--interval", "0", "1", "--denominators", "2"],
+            ["verify-bound", "--seed", "square", "--delta", "1/4"],
+        ],
+    )
+    def test_epsilon_flag_is_gone(self, argv, capsys):
+        code, _, err = run_out(argv + ["--epsilon", "1e-3"], capsys)
+        assert code == 2
+        assert "--epsilon" in err
+
     def test_evaluation_error_is_two(self, capsys):
         code = run(
             ["reconstruct", "--expr", "1/(x - 1/4)", "--interval", "0", "1",
@@ -198,6 +226,19 @@ class TestReconstructCommand:
         rows = {r.get("t_exact", str(r["t"])): r["f"] for r in obj["samples"]}
         assert rows["1/3"] == pytest.approx(-2 / 9, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "engine,grid",
+        [("euclid-chain", ["--denominators", "3"]), ("ck", ["--dyadic-level", "2"])],
+    )
+    def test_json_keys(self, engine, grid, capsys):
+        code, out, _ = run_out(
+            ["reconstruct", "--seed", "square", "--interval", "0", "1", *grid,
+             "--engine", engine, "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(json.loads(out)) == ["engine", "normalization", "samples"]
+
     def test_ck_engine(self, capsys):
         code, out, _ = run_out(
             [
@@ -256,6 +297,18 @@ class TestVerifyBoundCommand:
         ]
         assert all(o["pass"] for o in objs)
         assert objs[0]["lhs"] <= objs[0]["rhs"] + 1e-9
+
+    def test_readme_cube_example(self, capsys):
+        # README.md shows this command's NDJSON, byte for byte
+        lines = README.read_text(encoding="utf-8").splitlines()
+        sample = "".join(line + "\n" for line in lines if line.startswith('{"check": '))
+        assert sample.count("\n") == 4
+        code, out, _ = run_out(
+            ["verify-bound", "--seed", "cube", "--delta", "1/8", "--delta", "1/16", "--box", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert out == sample
 
     def test_dyadic_engine(self, capsys):
         # both engines sample f with spacing 1/16, so the kernel grid and
@@ -334,3 +387,26 @@ class TestConfigFile:
         code, out, _ = run_out(["verify-bound", "--config", str(cfg)], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "command,settings",
+        [
+            ("verify-bound", "seed=cube\ndelta=1/8\nbox=inf\n"),
+            ("reconstruct", "seed=square\ninterval=0,inf\ndenominators=4\n"),
+        ],
+        ids=["verify-bound", "reconstruct"],
+    )
+    def test_nonfinite_setting_is_two(self, tmp_path, capsys, command, settings):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings, encoding="utf-8")
+        code, out, err = run_out([command, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
+    def test_epsilon_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=square\ninterval=0,1\ndenominators=2\nepsilon=1e-3\n", encoding="utf-8")
+        code, _, err = run_out(["reconstruct", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown setting 'epsilon'" in err

@@ -18,7 +18,6 @@ from cocycle import (
     bivariate_expression,
     grid_keys,
     h_rational,
-    reconstruct_grid,
     reconstruct_point,
     reconstruct_table,
 )
@@ -218,7 +217,7 @@ class TestGridKeys:
 
 class TestTables:
     def test_known_quarter_grid(self):
-        table = reconstruct_grid(F_BILINEAR, (0, 1), 4)
+        table = reconstruct_table(F_BILINEAR, grid_keys((0, 1), denominators=4))
         want = {
             Fraction(0): 0.0,
             Fraction(1, 4): -3 / 16,
@@ -235,7 +234,7 @@ class TestTables:
     def test_expo_dyadic_level6(self):
         F = seed_kernel("expo")
         oracle = oracle_solution("expo")
-        table = reconstruct_grid(F, (0, 1), 6, engine="dyadic")
+        table = reconstruct_table(F, grid_keys((0, 1), dyadic_level=6), engine="dyadic")
         worst = max(abs(table.value_at(k) - oracle(k)) for k in table.keys())
         assert worst <= 1e-10
 

@@ -9,34 +9,38 @@ from hypothesis import strategies as st
 
 from cocycle import (
     EuclidChain,
-    approximants,
     euclid_chain,
     format_rational,
     parse_rational,
-    reduce,
+    reconstruct_point,
 )
+from cocycle.continuous import _dyadic_round
 
 
 class TestReduce:
+    """Parsed rationals come back in lowest terms, denominator positive."""
+
     def test_gcd_cancellation(self):
-        assert reduce(4, 6) == Fraction(2, 3)
+        r = parse_rational("4/6")
+        assert (r.numerator, r.denominator) == (2, 3)
 
     def test_zero_numerator(self):
-        assert reduce(0, 5) == Fraction(0)
+        r = parse_rational("0/5")
+        assert (r.numerator, r.denominator) == (0, 1)
 
     def test_sign_moves_to_numerator(self):
-        r = reduce(3, -9)
-        assert r == Fraction(-1, 3)
-        assert r.denominator == 3
+        r = parse_rational("-3/9")
+        assert (r.numerator, r.denominator) == (-1, 3)
 
     def test_zero_denominator_rejected(self):
+        # ValueError, not the ZeroDivisionError Fraction(0, 0) raises
         with pytest.raises(ValueError):
-            reduce(1, 0)
+            parse_rational("0/0")
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(1, 1000))
     @settings(max_examples=100, deadline=None)
     def test_scaling_invariance(self, num, den, k):
-        assert reduce(num * k, den * k) == reduce(num, den)
+        assert parse_rational(f"{num * k}/{den * k}") == parse_rational(f"{num}/{den}")
 
 
 class TestParseFormat:
@@ -115,46 +119,57 @@ class TestEuclidChain:
             EuclidChain(n=7, steps=((3, 1), (2, 0)))  # quotients decrease
 
 
+def _nearest_dyadic(t: float, level: int) -> Fraction:
+    # exact reference: nearest multiple of 2**-level, ties rounding down
+    scaled = Fraction(t) * 2**level
+    num = math.floor(scaled)
+    if scaled - num > Fraction(1, 2):
+        num += 1
+    return Fraction(num, 2**level)
+
+
 class TestApproximants:
+    """Dyadic approximants of a real target, as the real-point limit
+    takes them (``_dyadic_round``)."""
+
     def test_dyadic_exact_target(self):
-        assert approximants(0.75, "dyadic", 3) == [
+        assert [_dyadic_round(0.75, j) for j in (1, 2, 3)] == [
             Fraction(1, 2),
             Fraction(3, 4),
             Fraction(3, 4),
         ]
 
-    def test_convergents_of_sqrt2_minus_1(self):
-        got = approximants(math.sqrt(2) - 1, "convergents", 4)
-        assert got == [Fraction(1, 2), Fraction(2, 5), Fraction(5, 12), Fraction(12, 29)]
-
-    def test_convergents_of_exact_rational(self):
-        assert approximants(Fraction(1, 3), "convergents", 1) == [Fraction(1, 3)]
-
-    def test_convergents_pad_with_exact_tail(self):
-        got = approximants(Fraction(1, 3), "convergents", 3)
-        assert got == [Fraction(1, 3)] * 3
+    @pytest.mark.parametrize(
+        "t,level,want",
+        [
+            (0.375, 2, Fraction(1, 4)),
+            (-0.375, 2, Fraction(-1, 2)),
+            (0.5, 0, Fraction(0)),
+            (-0.5, 0, Fraction(-1)),
+        ],
+    )
+    def test_ties_round_down(self, t, level, want):
+        assert _dyadic_round(t, level) == want
 
     def test_dyadic_error_bound(self):
         t = math.pi / 4
-        for j, q in enumerate(approximants(t, "dyadic", 20), start=1):
+        for j in range(1, 21):
+            q = _dyadic_round(t, j)
             assert abs(t - float(q)) <= 2.0 ** -(j + 1) + 1e-18
             assert q.denominator <= 2**j
 
-    @pytest.mark.parametrize("t", [math.sqrt(2), math.sqrt(3), math.e, math.pi / 3])
-    def test_convergent_quality(self, t):
-        # classic best-approximation property, checked in exact arithmetic
-        exact = Fraction(t)
-        for q in approximants(t, "convergents", 12):
-            assert abs(exact - q) < Fraction(1, q.denominator**2)
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_rounding(self, t, level):
+        q = _dyadic_round(t, level)
+        assert q == _nearest_dyadic(t, level)
+        assert abs(Fraction(t) - q) <= Fraction(1, 2 ** (level + 1))
+        assert q.denominator <= 2**level
 
     def test_rejects_nonfinite(self):
+        # a non-finite target has no dyadic approximants
         with pytest.raises(ValueError):
-            approximants(math.inf, "dyadic", 3)
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            approximants(0.5, "farey", 3)
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            approximants(0.5, "dyadic", 0)
+            reconstruct_point(lambda x, y: 2.0 * x * y, math.inf)

@@ -132,6 +132,12 @@ class TestCkReconstruction:
                 reconstruct_ck_point(F, float(k), tol=1e-11), abs=1e-9
             )
 
+    @pytest.mark.parametrize("k", [Fraction(3, 4), Fraction(-5, 8), Fraction(7, 3)])
+    def test_one_key_table_is_the_point_route(self, k):
+        # both routes run the same quadrature, so the values agree exactly
+        F = seed_kernel("expo")
+        assert reconstruct_ck_table(F, [k]).value_at(k) == reconstruct_ck_point(F, float(k))
+
     def test_negative_keys(self):
         F = seed_kernel("square")
         keys = grid_keys((-1, 1), dyadic_level=1)

@@ -21,7 +21,6 @@ from cocycle import (
     kurepa_residual,
     modulus_estimate,
     modulus_probe,
-    modulus_profile,
     reconstruct_table,
     symmetry_residual,
 )
@@ -355,19 +354,6 @@ class TestModulusProbe:
         for delta in (1e-3, 1e-6, 1e-9):
             got = modulus_probe(F, delta, ((-1.0, 1.0), (-1.0, 1.0)))
             assert 0.0 < got <= 6 * delta + 1e-15
-
-
-class TestModulusProfile:
-    def test_entries_match_single_calls(self):
-        f = lambda t: t * t - t
-        prof = modulus_profile(f, [1 / 8, 1 / 4], (-1.0, 1.0), 1 / 32)
-        assert prof.omega(1 / 8) == modulus_estimate(f, 1 / 8, (-1.0, 1.0), 1 / 32)
-        assert prof.omega(1 / 4) == modulus_estimate(f, 1 / 4, (-1.0, 1.0), 1 / 32)
-
-    def test_missing_delta(self):
-        prof = modulus_profile(lambda t: t, [1 / 8], (0.0, 1.0), 1 / 16)
-        with pytest.raises(KeyError):
-            prof.omega(1 / 2)
 
 
 class TestBoundChecks:
