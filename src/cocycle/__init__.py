@@ -30,12 +30,10 @@ from .expressions import (
     cocycle_from_seed,
     eval_expr,
     parse_expr,
-    pretty,
     seed_expression,
 )
 from .rational import (
     EuclidChain,
-    Rational,
     euclid_chain,
     format_rational,
     parse_rational,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # rational
-    "Rational",
     "EuclidChain",
     "euclid_chain",
     "parse_rational",
@@ -76,7 +73,6 @@ __all__ = [
     "EvaluationError",
     "parse_expr",
     "eval_expr",
-    "pretty",
     "FuncSpec",
     "BUILTIN_SEEDS",
     "bivariate_expression",

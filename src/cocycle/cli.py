@@ -101,7 +101,7 @@ class RunConfig:
     command: str
     expr: str | None = None
     seed: str | None = None
-    vars: str = "x,y"
+    vars: str | None = None
     out: str | None = None
     format: str = "csv"
     engine: str = "euclid-chain"
@@ -118,9 +118,15 @@ class RunConfig:
         if (self.expr is None) == (self.seed is None):
             raise ValueError("exactly one of --expr or --seed is required")
         if self.seed is not None:
-            g = builtin_seed(self.seed) if self.seed in BUILTIN_SEEDS else seed_expression(self.seed)
-            return cocycle_from_seed(g)
-        names = tuple(s.strip() for s in self.vars.split(","))
+            var = (self.vars or "t").strip()
+            if not var or "," in var:
+                raise ValueError("--vars must name one variable with --seed")
+            if self.seed not in BUILTIN_SEEDS:
+                return cocycle_from_seed(seed_expression(self.seed, variable=var))
+            if var != "t":
+                raise ValueError(f"builtin seed {self.seed!r} is in t, not {var!r}")
+            return cocycle_from_seed(builtin_seed(self.seed))
+        names = tuple(s.strip() for s in (self.vars or "x,y").split(","))
         if len(names) != 2 or not all(names):
             raise ValueError("--vars must name two comma-separated variables")
         return bivariate_expression(self.expr, variables=names)
@@ -242,7 +248,9 @@ def _cmd_verify_bound(cfg: RunConfig) -> int:
     F = cfg.function()
     if not cfg.deltas:
         raise ValueError("--delta is required for verify-bound (repeatable)")
-    M = max(1, int(cfg.box))
+    if not (cfg.box >= 1 and cfg.box == int(cfg.box)):
+        raise ValueError(f"verify-bound --box must be a whole number >= 1, got {cfg.box}")
+    M = int(cfg.box)
     den = cfg.denominators or 2 * max(d.denominator for d in cfg.deltas)
     if den < 1:
         raise ValueError("denominator bound must be >= 1")
@@ -306,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="univariate seed g(t); F is its additivity defect "
         f"(builtins: {', '.join(sorted(BUILTIN_SEEDS))})",
     )
-    common.add_argument("--vars", help="comma-separated variable names for --expr (default x,y)")
+    common.add_argument(
+        "--vars",
+        help="variable names: two, comma-separated, for --expr (default x,y); "
+        "one for --seed (default t)",
+    )
     common.add_argument("--config", help="key=value settings file; explicit flags win")
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--tolerance", type=float, help="check tolerance (default 1e-9)")
@@ -338,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=parse_rational,
         help="rational scale in (0, 1/2); repeatable",
     )
-    p_bound.add_argument("--box", type=float, help="check on [-M, M] (default 1)")
+    p_bound.add_argument(
+        "--box", type=float, help="check on [-M, M] for a whole number M >= 1 (default 1)"
+    )
     p_bound.add_argument(
         "--denominators",
         type=int,

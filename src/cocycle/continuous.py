@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expressions import EvaluationError
+from .expressions import EvaluationError, _sample
 from .rational import ONE_HALF, euclid_chain, format_rational
 
 __all__ = [
@@ -87,7 +87,6 @@ class LatticeSolver:
         self._h: dict[tuple[str, Fraction], float] = {}
         self._H: dict[tuple[Fraction, Fraction], float] = {}
         self._omega: dict[tuple[float, int], float] = {}
-        self._vector_ok = True
 
     # -- kernel access --
 
@@ -115,22 +114,17 @@ class LatticeSolver:
 
     def _row_sum(self, x: Fraction, m: int) -> float:
         # sum_{i=1..m-1} H(x, i*x); m can reach the denominator of x, so
-        # large rows go through array evaluation and exact (Shewchuk)
-        # summation via math.fsum.
-        if m <= 1:
-            return 0.0
-        if m - 1 < _VECTOR_MIN or not self._vector_ok:
+        # large rows go through one sampled call and exact (Shewchuk)
+        # summation via math.fsum.  A pole spoils one row, which scalar H
+        # calls then report at its lattice point.
+        if m - 1 < _VECTOR_MIN:
             return math.fsum(self.H(x, i * x) for i in range(1, m))
-        p, n = x.numerator, x.denominator
-        ys = np.arange(1, m, dtype=np.float64) * float(p) / float(n)
+        ys = np.arange(1, m, dtype=np.float64) * float(x.numerator) / float(x.denominator)
         try:
-            vals = self.F(float(x), ys)
-        except (TypeError, EvaluationError) as exc:
-            if isinstance(exc, TypeError):  # no arrays, ever; a pole spoils one row
-                self._vector_ok = False
+            vals = _sample(self.F, float(x), ys)
+        except EvaluationError:
             return math.fsum(self.H(x, i * x) for i in range(1, m))
-        arr = np.asarray(vals, dtype=np.float64) - self.F00
-        return math.fsum(arr.tolist())
+        return math.fsum((vals - self.F00).tolist())
 
     # -- h at rationals --
 
@@ -317,9 +311,6 @@ class ReconstructedFunction:
     engine: str
     normalization: dict[str, float] = field(default_factory=dict)
 
-    def keys(self) -> list[Fraction]:
-        return list(self.samples.keys())
-
     def value_at(self, t) -> float:
         key = t if isinstance(t, Fraction) else Fraction(t)
         try:
@@ -342,10 +333,6 @@ class ReconstructedFunction:
                 row += "," + ("" if exact[k] is not None else format_rational(k))
             lines.append(row)
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
 
     def to_json_obj(self) -> dict:
         rows = []
@@ -404,6 +391,8 @@ def grid_keys(
     rejected with ValueError before any key is built."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
+    if any(isinstance(x, float) and not math.isfinite(x) for x in interval):
+        raise ValueError("interval endpoints must be finite")
     a, b = (Fraction(x) for x in interval)
     if not a < b:
         raise ValueError("interval must satisfy a < b")

@@ -241,50 +241,10 @@ def parse_expr(src: str, variables: tuple[str, ...] | list[str] = ("x", "y")) ->
     return _Parser(src, tuple(variables)).parse()
 
 
-# --- pretty printing ---------------------------------------------------
+# --- compilation --------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
-
-def _prec(node: Expr) -> int:
-    if isinstance(node, Bin):
-        return _PREC[node.op]
-    if isinstance(node, Unary):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def pretty(node: Expr) -> str:
-    """Canonical text form; parse(pretty(a)) re-prints to the same text."""
-    if isinstance(node, Num):
-        v = node.value
-        return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        inner = pretty(node.operand)
-        if _prec(node.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({pretty(node.arg)})"
-    if isinstance(node, Bin):
-        p = _PREC[node.op]
-        left = pretty(node.left)
-        right = pretty(node.right)
-        # '^' is right associative, the rest left; parenthesize the side
-        # that would otherwise re-associate.
-        if _prec(node.left) < p or (_prec(node.left) == p and node.op == "^"):
-            left = f"({left})"
-        if _prec(node.right) < p or (_prec(node.right) == p and node.op != "^"):
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# --- compilation --------------------------------------------------------
 
 def _per_value(scalar, array):
     def call(*args):
@@ -315,7 +275,7 @@ def _literal(value) -> str:
 def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
     """Python source for ``node``, calling the ``prefix`` functions, and
     its precedence.  Python groups + - * / and unary minus as our grammar
-    does, so parentheses go only where ``pretty`` puts them, and a long
+    does, so parentheses go only where precedence needs them, and a long
     sum stays flat; '^' becomes a call."""
     atom = _PREC["atom"]
     if isinstance(node, Num):
@@ -463,3 +423,25 @@ def cocycle_from_seed(g: FuncSpec) -> FuncSpec:
     if g.arity != 1:
         raise ValueError("seed must be univariate")
     return FuncSpec(arity=2, ast=g.ast, variables=g.variables, seed=g)
+
+
+# --- sampling -------------------------------------------------------------
+
+def _sample(fn, *coords) -> np.ndarray:
+    """fn at the broadcast points of numpy arrays and floats: one array
+    call, or one scalar call per point when fn takes no arrays or returns
+    another shape.  A float coordinate is passed as it is, so a compiled
+    F(x, ys) equals its scalar calls bit for bit.  A value that is not
+    finite raises EvaluationError, since NaN would slip through a running
+    max unseen."""
+    shape = np.broadcast(*coords).shape
+    try:
+        vals = np.asarray(fn(*coords), dtype=np.float64)
+    except (TypeError, LookupError):
+        vals = None
+    if vals is None or vals.shape != shape:
+        points = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in coords))
+        vals = np.array([float(fn(*p)) for p in points], dtype=np.float64).reshape(shape)
+    if not np.isfinite(vals).all():
+        raise EvaluationError("function is not finite at the sample points")
+    return vals

@@ -12,14 +12,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 ONE_HALF = Fraction(1, 2)
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 __all__ = [
-    "Rational",
     "ONE_HALF",
     "EuclidChain",
     "parse_rational",
@@ -28,7 +25,7 @@ __all__ = [
 ]
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse 'p/n' or a bare integer; optional sign, no whitespace."""
     if not _RATIONAL_PATTERN.match(text):
         raise ValueError(f"invalid rational literal {text!r}")
@@ -40,7 +37,7 @@ def parse_rational(text: str) -> Rational:
     return Fraction(int(text))
 
 
-def format_rational(r: Rational) -> str:
+def format_rational(r: Fraction) -> str:
     """Render as 'p/n' (denominator kept even when it is 1).
 
     The one text form of an exact key in CSV, JSON and NDJSON output, and
@@ -88,11 +85,8 @@ class EuclidChain:
             raise ValueError("chain must terminate at remainder zero")
         return rems
 
-    def quotients(self) -> list[int]:
-        return [m for m, _ in self.steps]
 
-
-def euclid_chain(r: Rational) -> EuclidChain:
+def euclid_chain(r: Fraction) -> EuclidChain:
     """Quotient chain for r = p/n in the open interval (0, 1/2).
 
     Repeatedly divides the fixed n by the current remainder:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .continuous import LatticeSolver, ReconstructedFunction
-from .expressions import EvaluationError
+from .expressions import _sample
 from .rational import ONE_HALF, format_rational
 
 __all__ = [
@@ -36,13 +36,16 @@ __all__ = [
 # Default absolute tolerance for exact-lattice checks.
 DEFAULT_TOLERANCE = 1e-9
 
-# The lattice bound |h| <= 2*omega involves grid estimates on both sides;
-# checks at that scale default to the looser limit tolerance.
+# The lattice bound |h| <= 2*omega involves grid estimates on both sides,
+# so it is checked at a looser tolerance.
 LATTICE_TOLERANCE = 1e-6
 
 # Full grid estimation is quadratic in the axis size; beyond this many
 # points per axis the sparse probe takes over.
 _GRID_AXIS_LIMIT = 1024
+
+# Points per axis of the probe's anchor lattice.
+_PROBE_ANCHORS = 33
 
 
 def _jsonable(value):
@@ -162,14 +165,12 @@ def cocycle_residual(F, f, pairs, tolerance: float = DEFAULT_TOLERANCE) -> Verif
 
 # --- modulus estimation -----------------------------------------------
 
-def _parse_domain(domain):
-    # (a, b) -> 1D interval; ((a, b), (c, d)) -> 2D box.
-    first = domain[0]
-    if isinstance(first, (tuple, list)):
+def _box(domain) -> tuple[float, float, float, float]:
+    try:
         (a, b), (c, d) = domain
-        return "2d", (float(a), float(b), float(c), float(d))
-    a, b = domain
-    return "1d", (float(a), float(b))
+    except (TypeError, ValueError):
+        raise ValueError(f"domain must be a box ((a, b), (c, d)), got {domain!r}") from None
+    return float(a), float(b), float(c), float(d)
 
 
 def _axis(a: float, b: float, step: float) -> np.ndarray:
@@ -179,44 +180,11 @@ def _axis(a: float, b: float, step: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def _sample(fn, *coords: np.ndarray) -> np.ndarray:
-    """fn at the points of equally shaped coordinate arrays: one array
-    call, or one scalar call per point when fn takes no arrays."""
-    try:
-        vals = np.asarray(fn(*coords), dtype=np.float64)
-    except (TypeError, LookupError):
-        vals = None
-    if vals is None or vals.shape != coords[0].shape:
-        points = zip(*(c.ravel() for c in coords))
-        vals = np.array([float(fn(*map(float, p))) for p in points], dtype=np.float64)
-        vals = vals.reshape(coords[0].shape)
-    # NaN would propagate through the window maxima (or drop out of a
-    # running max unseen), so a non-finite sample is an evaluation error.
-    if not np.isfinite(vals).all():
-        raise EvaluationError("function is not finite at the sample points")
-    return vals
-
-
 def _widen(rm: np.ndarray) -> None:
     """Grow a running max along the last axis by one index on each side,
     in place: rm[..., j] becomes max(rm[..., j-1], rm[..., j], rm[..., j+1])."""
     np.maximum(rm[..., :-1], rm[..., 1:], out=rm[..., :-1])
     np.maximum(rm[..., 1:], rm[..., :-1], out=rm[..., 1:])
-
-
-def _window_max_1d(vals: np.ndarray, step: float, delta: float) -> float:
-    """max |vals[i] - vals[i+k]| over 0 < k <= delta/step, in O(N * delta/step).
-
-    The sup of |v(a) - v(b)| over a window equals the max over a of the
-    window max of v around a, minus v(a); float subtraction rounds
-    monotonically, so this is exactly the pairwise maximum.
-    """
-    kmax = min(int(math.floor(delta / step + 1e-9)), len(vals) - 1)
-    rm = vals.copy()
-    for _ in range(kmax):
-        _widen(rm)
-    np.subtract(rm, vals, out=rm)
-    return float(rm.max())
 
 
 def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> float:
@@ -227,8 +195,10 @@ def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> floa
     di falls, folded in at row shifts +di and -di.  That is about
     2 * (imax + jmax) in-place passes over two grid-sized buffers, so the
     cost is O(N^2 * delta/h) for an N x N grid of step h.  The offsets are
-    exactly those of the pairwise definition, and the result is identical
-    to it (see ``_window_max_1d``).
+    exactly those of the pairwise definition.  The sup of |v(a) - v(b)|
+    over a window equals the max over a of the window max of v around a,
+    minus v(a); float subtraction rounds monotonically, so the result is
+    exactly the pairwise maximum.
     """
     n0, n1 = vals.shape
     imax = min(int(math.floor(delta / sx + 1e-9)), n0 - 1)
@@ -250,13 +220,13 @@ def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> floa
 
 
 def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
-    """Grid lower estimate of sup |fn(a) - fn(b)| over |a - b| <= delta.
+    """Grid lower estimate of sup |fn(a) - fn(b)| over |a - b| <= delta on
+    the box ``domain`` = ((a, b), (c, d)), with Euclidean distances.
 
-    The grid spans the domain with spacing at most ``grid_step`` (which
-    must not exceed delta); distances in two dimensions are Euclidean.
-    With N points per axis and r = delta / grid_step the window maxima
-    cost O(N * r) in one dimension and O(N^2 * r) in two.  A grid value
-    that is not finite raises EvaluationError.
+    The grid spans the box with spacing at most ``grid_step`` (which must
+    not exceed delta).  With N points per axis and r = delta / grid_step
+    the window maxima cost O(N^2 * r).  A grid value that is not finite
+    raises EvaluationError.
     """
     delta = float(delta)
     grid_step = float(grid_step)
@@ -264,22 +234,17 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
         raise ValueError("delta and grid_step must be positive")
     if grid_step > delta:
         raise ValueError("grid_step must not exceed delta")
-    shape, bounds = _parse_domain(domain)
-    if shape == "1d":
-        a, b = bounds
-        xs = _axis(a, b, grid_step)
-        vals = _sample(fn, xs)
-        return _window_max_1d(vals, float(xs[1] - xs[0]), delta)
-    a, b, c, d = bounds
+    a, b, c, d = _box(domain)
     xs = _axis(a, b, grid_step)
     ys = _axis(c, d, grid_step)
     vals = _sample(fn, *np.meshgrid(xs, ys, indexing="ij"))
     return _window_max_2d(vals, float(xs[1] - xs[0]), float(ys[1] - ys[0]), delta)
 
 
-def modulus_probe(fn, delta: float, domain, anchors: int = 33) -> float:
-    """Sparse lower estimate of the modulus: pairs at distance exactly
-    delta from an anchor lattice, probed along the axes and diagonals.
+def modulus_probe(fn, delta: float, domain) -> float:
+    """Sparse lower estimate of the modulus on the box ``domain``: pairs at
+    distance exactly delta from a lattice of _PROBE_ANCHORS points per
+    axis, probed along the axes and diagonals.
 
     Unlike ``modulus_estimate`` the cost is independent of delta, so this
     serves the small-delta regime where a full grid is unaffordable.  A
@@ -288,25 +253,9 @@ def modulus_probe(fn, delta: float, domain, anchors: int = 33) -> float:
     delta = float(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if anchors < 2:
-        raise ValueError("need at least 2 anchors")
-    shape, bounds = _parse_domain(domain)
-    if shape == "1d":
-        a, b = bounds
-        xs = np.linspace(a, b, anchors)
-        vals = _sample(fn, xs)
-        worst = 0.0
-        for sign in (1.0, -1.0):
-            target = xs + sign * delta
-            mask = (target >= a) & (target <= b)
-            if not mask.any():
-                continue
-            moved = _sample(fn, target[mask])
-            worst = max(worst, float(np.max(np.abs(moved - vals[mask]))))
-        return worst
-    a, b, c, d = bounds
-    xs = np.linspace(a, b, anchors)
-    ys = np.linspace(c, d, anchors)
+    a, b, c, d = _box(domain)
+    xs = np.linspace(a, b, _PROBE_ANCHORS)
+    ys = np.linspace(c, d, _PROBE_ANCHORS)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     base = _sample(fn, X, Y)
     diag = delta / math.sqrt(2.0)
@@ -335,28 +284,16 @@ def _as_bound_delta(delta) -> Fraction:
     return d
 
 
-def _table_from(f, deltas, M: int):
-    if isinstance(f, ReconstructedFunction):
-        keys = [k for k in f.samples if -M <= k <= M]
-        keys.sort()
-        vals = [f.samples[k] for k in keys]
-        return keys, vals
-    den = 2 * max(d.denominator for d in deltas)
-    keys = [Fraction(k, den) for k in range(-M * den, M * den + 1)]
-    vals = [float(f(k)) for k in keys]
-    return keys, vals
-
-
 def check_bound_c0(
     F,
-    f,
+    table: ReconstructedFunction,
     deltas,
     M: int = 1,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    lattice_tolerance: float = LATTICE_TOLERANCE,
 ) -> VerificationReport:
-    """Continuity transfer checks for a reconstruction f of kernel F.
+    """Continuity transfer checks for a sample table of f, the
+    reconstruction of kernel F.
 
     For each rational delta in (0, 1/2), checks that the modulus of f on
     [-M, M] is at most 3 times the modulus of F on the square (the kernel
@@ -364,24 +301,22 @@ def check_bound_c0(
     that |h(delta)| <= 2 * omega(H; delta) on the unit square, where
     h = f + F(0,0) is the normalized lattice solution.
 
-    ``f`` is a ReconstructedFunction or a callable accepting Fractions.
     A kernel value on the grid that is not finite raises EvaluationError.
     """
-    from .continuous import h_rational  # deferred to avoid a module cycle
-
+    if not isinstance(table, ReconstructedFunction):
+        raise TypeError(f"need a ReconstructedFunction sample table, got {type(table).__name__}")
     if M < 1:
         raise ValueError("M must be >= 1")
     ds = [_as_bound_delta(d) for d in deltas]
     if not ds:
         raise ValueError("need at least one delta")
-    keys, vals = _table_from(f, ds, M)
+    keys = sorted(k for k in table.samples if -M <= k <= M)
     if len(keys) < 2:
         raise ValueError("sample table too small on [-M, M]")
     kf = np.array([float(k) for k in keys])
-    vf = np.array(vals)
+    vf = np.array([table.samples[k] for k in keys])
     gaps = np.diff(kf)
     f_step = float(np.max(gaps))
-    box = ((-float(M), float(M)), (-float(M), float(M)))
     kernel_step = f_step / 4.0
     xs = _axis(-float(M), float(M), kernel_step)
     kernel_vals = _sample(F, *np.meshgrid(xs, xs, indexing="ij"))
@@ -424,7 +359,7 @@ def check_bound_c0(
             )
         )
         # lattice side: |h(p/n)| against twice the kernel modulus at p/n
-        h_val = h_rational(F, d, solver=solver)
+        h_val = solver.h(d)
         if 4 * d.denominator <= _GRID_AXIS_LIMIT * d.numerator:
             omega_h = modulus_estimate(H, df, unit_box, df / 4.0)
         else:
@@ -435,8 +370,8 @@ def check_bound_c0(
             CheckResult(
                 check="lattice-bound",
                 params={"delta": d},
-                passed=lhs <= rhs + lattice_tolerance,
-                tolerance=lattice_tolerance,
+                passed=lhs <= rhs + LATTICE_TOLERANCE,
+                tolerance=LATTICE_TOLERANCE,
                 lhs=lhs,
                 rhs=rhs,
                 slack=rhs - lhs,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -25,6 +27,23 @@ NONFINITE_ARGS = [
     ["verify-bound", "--seed", "cube", "--delta", "1/8", "--box", "inf"],
     ["reconstruct", "--seed", "square", "--interval", "0", "inf", "--denominators", "4"],
 ]
+
+
+def _readme_commands():
+    """(argv, expected exit code) of each `cocycle` line in README.md's sh
+    blocks: continuations joined, comments stripped, and exit code 1 where
+    the comment says so."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["cocycle"]:
+                commands.append((argv[1:], 1 if "exit 1" in line.partition("#")[2] else 0))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
 
 
 def run_out(args, capsys):
@@ -138,6 +157,16 @@ class TestExitCodes:
         code, _, err = run_out(argv + ["--epsilon", "1e-3"], capsys)
         assert code == 2
         assert "--epsilon" in err
+
+    @pytest.mark.parametrize("box", ["1.9", "0.5"])
+    def test_verify_bound_box_must_be_whole(self, box, capsys):
+        # it used to be truncated, so 1.9 and 0.5 both checked on [-1, 1]
+        code, out, err = run_out(
+            ["verify-bound", "--seed", "square", "--delta", "1/4", "--box", box], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "whole number" in err
 
     def test_evaluation_error_is_two(self, capsys):
         code = run(
@@ -281,6 +310,39 @@ class TestReconstructCommand:
         assert out.splitlines()[2] == "0.5,-0.25"
 
 
+class TestSeedVariable:
+    ARGS = ["check", "--samples", "50"]
+
+    def test_seed_in_another_variable(self, capsys):
+        code, out, _ = run_out(self.ARGS + ["--seed", "u^2", "--vars", "u"], capsys)
+        assert code == 0
+        assert out == run_out(self.ARGS + ["--seed", "square"], capsys)[1]
+
+    @pytest.mark.parametrize(
+        "seed,names",
+        [("t^2", "a,b"), ("t^2", "t,u"), ("square", "u"), ("u^2", "t")],
+    )
+    def test_bad_seed_variable_is_two(self, seed, names, capsys):
+        code, out, err = run_out(self.ARGS + ["--seed", seed, "--vars", names], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_builtin_seed_in_t(self, capsys):
+        assert run(self.ARGS + ["--seed", "square", "--vars", "t"]) == 0
+
+    def test_seed_variable_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=u^2\nvars=u\ninterval=0,1\ndenominators=4\n", encoding="utf-8")
+        code, out, _ = run_out(["reconstruct", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out == GOLDEN_QUARTER_CSV
+        cfg.write_text("seed=square\nvars=u\ninterval=0,1\ndenominators=4\n", encoding="utf-8")
+        code, out, err = run_out(["reconstruct", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == "" and "error: " in err
+
+
 class TestVerifyBoundCommand:
     def test_report_lines(self, capsys):
         code, out, _ = run_out(
@@ -410,3 +472,19 @@ class TestConfigFile:
         code, _, err = run_out(["reconstruct", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown setting 'epsilon'" in err
+
+
+class TestReadme:
+    def test_commands_found(self):
+        assert len(README_COMMANDS) >= 8
+        assert [code for _, code in README_COMMANDS].count(1) == 1
+
+    @pytest.mark.parametrize(
+        "argv,expected", README_COMMANDS, ids=[" ".join(a) for a, _ in README_COMMANDS]
+    )
+    def test_command(self, argv, expected, tmp_path, monkeypatch, capsys):
+        (ini,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        (tmp_path / "solve.cfg").write_text(ini, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_out(argv, capsys)
+        assert code == expected, err

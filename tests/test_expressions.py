@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cocycle import (
@@ -20,7 +20,6 @@ from cocycle import (
     cocycle_from_seed,
     eval_expr,
     parse_expr,
-    pretty,
     seed_expression,
 )
 from cocycle.expressions import Bin, Call, Const, Num, Unary, Var
@@ -101,6 +100,42 @@ def reference_kernel(seed, x, y):
     g = [reference(seed, {"t": v}) for v in (x + y, x, y)]
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(g[0] - (g[1] + g[2]))
+
+
+# --- reference: a canonical renderer, to test the parser against -------
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+def _prec(node):
+    if isinstance(node, Bin):
+        return _PREC[node.op]
+    if isinstance(node, Unary):
+        return _PREC["neg"]
+    return _PREC["atom"]
+
+
+def pretty(node):
+    """Canonical text form; parse(pretty(a)) re-prints to the same text."""
+    if isinstance(node, Num):
+        v = node.value
+        return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+    if isinstance(node, (Const, Var)):
+        return node.name
+    if isinstance(node, Unary):
+        inner = pretty(node.operand)
+        return f"-({inner})" if _prec(node.operand) < _PREC["neg"] else f"-{inner}"
+    if isinstance(node, Call):
+        return f"{node.func}({pretty(node.arg)})"
+    p = _PREC[node.op]
+    left, right = pretty(node.left), pretty(node.right)
+    # '^' is right associative, the rest left; parenthesize the side that
+    # would otherwise re-associate.
+    if _prec(node.left) < p or (_prec(node.left) == p and node.op == "^"):
+        left = f"({left})"
+    if _prec(node.right) < p or (_prec(node.right) == p and node.op != "^"):
+        right = f"({right})"
+    return f"{left}{node.op}{right}"
 
 
 def outcome(fn, *args):
@@ -319,6 +354,13 @@ class TestPretty:
         once = pretty(parse_expr(src, variables=variables))
         twice = pretty(parse_expr(once, variables=variables))
         assert once == twice
+
+    @given(exprs(["x", "y"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tree_round_trip(self, node):
+        # every tree without an inf literal survives print and re-parse
+        assume("inf" not in repr(node))
+        assert parse_expr(pretty(node), variables=("x", "y")) == node
 
     def test_value_preserved(self):
         src = "-(x + 1)^2/(y - 3) + x*y"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SEEDS, oracle_solution, seed_kernel
+from conftest import ALL_SEEDS, seed_kernel
 from cocycle import (
     EvaluationError,
     affine_difference,
@@ -24,7 +24,7 @@ from cocycle import (
     reconstruct_table,
     symmetry_residual,
 )
-from cocycle.verify import _window_max_1d, _window_max_2d
+from cocycle.verify import _window_max_2d
 
 F_BILINEAR = bivariate_expression("2*x*y")
 F_SKEW = bivariate_expression("x*y^2")
@@ -124,27 +124,34 @@ class TestCocycleResidual:
             cocycle_residual(F_BILINEAR, table, [(Fraction(1, 5), Fraction(1, 5))])
 
 
+UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+SYMMETRIC_BOX = ((-1.0, 1.0), (-1.0, 1.0))
+
+
 class TestModulusEstimate:
+    # a kernel that ignores y has the modulus of its x profile: the widest
+    # pairs at distance delta lie along the x axis
     def test_identity_map(self):
-        got = modulus_estimate(lambda t: t, 0.1, (0.0, 1.0), 0.05)
+        got = modulus_estimate(lambda x, y: x, 0.1, UNIT_BOX, 0.05)
         assert got == pytest.approx(0.1, abs=1e-12)
 
     def test_constant(self):
-        assert modulus_estimate(lambda t: 7.0, 0.25, (0.0, 1.0), 0.05) == 0.0
+        assert modulus_estimate(lambda x, y: 7.0, 0.25, UNIT_BOX, 0.05) == 0.0
 
     def test_parabola_on_symmetric_interval(self):
-        got = modulus_estimate(lambda t: t * t - t, 1 / 8, (-1.0, 1.0), 1 / 64)
+        got = modulus_estimate(lambda x, y: x * x - x, 1 / 8, SYMMETRIC_BOX, 1 / 64)
         assert got == pytest.approx(23 / 64, abs=1e-12)
 
     def test_parabola_against_brute_force(self):
-        # independent check: direct max over all pairs of a fine grid
+        # independent check: direct max over all pairs of a fine 1-D grid,
+        # which the x axis of the box grid reproduces
         xs = np.linspace(-1.0, 1.0, 257)
         vals = xs * xs - xs
         brute = 0.0
         for i in range(len(xs)):
             close = np.abs(xs - xs[i]) <= 1 / 8 + 1e-12
             brute = max(brute, float(np.max(np.abs(vals[close] - vals[i]))))
-        got = modulus_estimate(lambda t: t * t - t, 1 / 8, (-1.0, 1.0), 1 / 128)
+        got = modulus_estimate(lambda x, y: x * x - x, 1 / 8, SYMMETRIC_BOX, 1 / 128)
         assert got == pytest.approx(brute, abs=1e-9)
 
     def test_two_dimensional(self):
@@ -164,39 +171,37 @@ class TestModulusEstimate:
         assert 0.5 - 1e-12 <= got <= brute + 1e-12
 
     def test_monotone_in_delta(self):
-        f = lambda t: math.sin(3 * t)
-        small = modulus_estimate(f, 0.1, (0.0, 2.0), 0.02)
-        large = modulus_estimate(f, 0.3, (0.0, 2.0), 0.02)
+        f = lambda x, y: np.sin(3 * x) + y
+        box = ((0.0, 2.0), (0.0, 2.0))
+        small = modulus_estimate(f, 0.1, box, 0.02)
+        large = modulus_estimate(f, 0.3, box, 0.02)
         assert small <= large + 1e-15
 
     def test_monotone_in_domain(self):
-        f = lambda t: t * t
-        inner = modulus_estimate(f, 0.25, (0.0, 1.0), 0.05)
-        outer = modulus_estimate(f, 0.25, (-2.0, 2.0), 0.05)
+        f = lambda x, y: x * x + y
+        inner = modulus_estimate(f, 0.25, UNIT_BOX, 0.05)
+        outer = modulus_estimate(f, 0.25, ((-2.0, 2.0), (-2.0, 2.0)), 0.05)
         assert inner <= outer + 1e-15
 
     def test_step_must_not_exceed_delta(self):
         with pytest.raises(ValueError):
-            modulus_estimate(lambda t: t, 0.1, (0.0, 1.0), 0.2)
+            modulus_estimate(lambda x, y: x, 0.1, UNIT_BOX, 0.2)
 
     def test_empty_domain(self):
-        with pytest.raises(ValueError):
-            modulus_estimate(lambda t: t, 0.1, (1.0, 1.0), 0.05)
+        for box in (((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 1.0))):
+            with pytest.raises(ValueError):
+                modulus_estimate(lambda x, y: x, 0.1, box, 0.05)
 
     def test_positive_delta_required(self):
         with pytest.raises(ValueError):
-            modulus_estimate(lambda t: t, 0.0, (0.0, 1.0), 0.05)
+            modulus_estimate(lambda x, y: x, 0.0, UNIT_BOX, 0.05)
 
-
-def _brute_window_max_1d(vals, step, delta):
-    # every offset k <= delta/step, one shifted difference per offset
-    kmax = int(math.floor(delta / step + 1e-9))
-    worst = 0.0
-    for k in range(1, kmax + 1):
-        if k >= len(vals):
-            break
-        worst = max(worst, float(np.max(np.abs(vals[k:] - vals[:-k]))))
-    return worst
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), ((0.0, 1.0),), ((0, 1), (0, 1), (0, 1))])
+    def test_domain_must_be_a_box(self, domain):
+        with pytest.raises(ValueError, match="must be a box"):
+            modulus_estimate(lambda x, y: x, 0.1, domain, 0.05)
+        with pytest.raises(ValueError, match="must be a box"):
+            modulus_probe(lambda x, y: x, 0.1, domain)
 
 
 def _brute_window_max_2d(vals, sx, sy, delta):
@@ -250,19 +255,6 @@ _RATIOS = st.one_of(
 class TestWindowMaxKernels:
     @settings(max_examples=300, deadline=None)
     @given(
-        n=st.integers(1, 30),
-        step=_STEPS,
-        ratio=_RATIOS,
-        rng_seed=st.integers(0, 2**32 - 1),
-        ties=st.booleans(),
-    )
-    def test_1d_equals_pairwise(self, n, step, ratio, rng_seed, ties):
-        vals = _sample_values(n, rng_seed, ties)
-        delta = ratio * step
-        assert _window_max_1d(vals, step, delta) == _brute_window_max_1d(vals, step, delta)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
         n0=st.integers(1, 30),
         n1=st.integers(1, 30),
         sx=_STEPS,
@@ -306,37 +298,44 @@ class TestNonFiniteKernel:
 
     def test_modulus_estimate_rejects_nan_2d(self):
         with pytest.raises(EvaluationError):
-            modulus_estimate(self._nan_at_corner, 0.25, ((0.0, 1.0), (0.0, 1.0)), 1 / 16)
+            modulus_estimate(self._nan_at_corner, 0.25, UNIT_BOX, 1 / 16)
 
-    def test_modulus_estimate_rejects_nan_1d(self):
-        f = lambda t: math.nan if float(t) == 1.0 else float(t)
+    @staticmethod
+    def _nan_on_edge(x, y):
+        x = float(x)
+        return math.nan if x == 1.0 else x
+
+    def test_modulus_estimate_rejects_nan_on_edge(self):
         with pytest.raises(EvaluationError):
-            modulus_estimate(f, 0.25, (0.0, 1.0), 1 / 16)
+            modulus_estimate(self._nan_on_edge, 0.25, UNIT_BOX, 1 / 16)
 
     def test_bound_check_rejects_nan(self):
-        oracle = oracle_solution("square")
+        table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=16))
         with pytest.raises(EvaluationError):
-            check_bound_c0(self._nan_at_corner, oracle, [Fraction(1, 8)], 1)
+            check_bound_c0(self._nan_at_corner, table, [Fraction(1, 8)], 1)
 
-    def test_modulus_probe_rejects_nan_1d(self):
+    def test_modulus_probe_rejects_nan_on_edge(self):
         # max(worst, nan) used to drop the direction and return 0.0
-        f = lambda t: math.nan if float(t) == 1.0 else float(t)
         with pytest.raises(EvaluationError):
-            modulus_probe(f, 0.25, (0.0, 1.0))
+            modulus_probe(self._nan_on_edge, 0.25, UNIT_BOX)
 
     def test_modulus_probe_rejects_nan_2d(self):
         with pytest.raises(EvaluationError):
-            modulus_probe(self._nan_at_corner, 0.25, ((0.0, 1.0), (0.0, 1.0)))
+            modulus_probe(self._nan_at_corner, 0.25, UNIT_BOX)
 
 
 class TestModulusProbe:
     def test_identity_map(self):
-        assert modulus_probe(lambda t: t, 0.1, (0.0, 1.0)) == pytest.approx(0.1, abs=1e-12)
+        got = modulus_probe(lambda x, y: x, 0.1, UNIT_BOX)
+        assert got == pytest.approx(0.1, abs=1e-12)
 
     def test_never_exceeds_fine_grid_estimate(self):
-        f = lambda t: math.sin(4 * t) + t
-        probe = modulus_probe(f, 0.125, (0.0, 2.0))
-        grid = modulus_estimate(f, 0.125, (0.0, 2.0), 0.125 / 16)
+        # the probe's diagonal pairs lie off the grid and can beat it for
+        # a kernel that varies in y; this one, like the 1-D original, ignores y
+        f = lambda x, y: np.sin(4 * x) + x
+        box = ((0.0, 2.0), (0.0, 2.0))
+        probe = modulus_probe(f, 0.125, box)
+        grid = modulus_estimate(f, 0.125, box, 0.125 / 16)
         assert probe <= grid + 1e-9
 
     def test_captures_square_root_edge(self):
@@ -396,10 +395,9 @@ class TestBoundChecks:
         with pytest.raises(ValueError):
             check_bound_c0(F_BILINEAR, table, [Fraction(1, 4)], 0)
 
-    def test_callable_solution_accepted(self):
-        oracle = oracle_solution("square")
-        report = check_bound_c0(F_BILINEAR, oracle, [Fraction(1, 8)], 1)
-        assert report.passed
+    def test_callable_solution_refused(self):
+        with pytest.raises(TypeError, match="ReconstructedFunction"):
+            check_bound_c0(F_BILINEAR, lambda t: float(t) ** 2, [Fraction(1, 8)], 1)
 
     def test_ndjson_schema(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
