@@ -118,14 +118,10 @@ class RunConfig:
         if (self.expr is None) == (self.seed is None):
             raise ValueError("exactly one of --expr or --seed is required")
         if self.seed is not None:
-            var = (self.vars or "t").strip()
-            if not var or "," in var:
-                raise ValueError("--vars must name one variable with --seed")
-            if self.seed not in BUILTIN_SEEDS:
-                return cocycle_from_seed(seed_expression(self.seed, variable=var))
-            if var != "t":
-                raise ValueError(f"builtin seed {self.seed!r} is in t, not {var!r}")
-            return cocycle_from_seed(builtin_seed(self.seed))
+            if self.vars is not None and self.vars.strip() != "t":
+                raise ValueError("--vars applies to --expr; seeds are in t")
+            g = builtin_seed(self.seed) if self.seed in BUILTIN_SEEDS else seed_expression(self.seed)
+            return cocycle_from_seed(g)
         names = tuple(s.strip() for s in (self.vars or "x,y").split(","))
         if len(names) != 2 or not all(names):
             raise ValueError("--vars must name two comma-separated variables")
@@ -172,7 +168,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     else:
         cfg.expr, cfg.seed = config.get("expr"), config.get("seed")
 
-    cfg.vars = pick("vars", cfg.vars)
+    # a config file's vars belong to its own function, not to a CLI --seed
+    cfg.vars = args.vars if getattr(args, "seed", None) is not None else pick("vars", None)
     cfg.out = pick("out", cfg.out)
     cfg.format = pick("format", cfg.format)
     cfg.engine = pick("engine", cfg.engine)
@@ -316,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--vars",
-        help="variable names: two, comma-separated, for --expr (default x,y); "
-        "one for --seed (default t)",
+        help="comma-separated variable names for --expr (default x,y); seeds are in t",
     )
     common.add_argument("--config", help="key=value settings file; explicit flags win")
     common.add_argument("--out", help="output path (default stdout)")

@@ -303,8 +303,6 @@ def check_bound_c0(
 
     A kernel value on the grid that is not finite raises EvaluationError.
     """
-    if not isinstance(table, ReconstructedFunction):
-        raise TypeError(f"need a ReconstructedFunction sample table, got {type(table).__name__}")
     if M < 1:
         raise ValueError("M must be >= 1")
     ds = [_as_bound_delta(d) for d in deltas]

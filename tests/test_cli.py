@@ -313,34 +313,43 @@ class TestReconstructCommand:
 class TestSeedVariable:
     ARGS = ["check", "--samples", "50"]
 
-    def test_seed_in_another_variable(self, capsys):
-        code, out, _ = run_out(self.ARGS + ["--seed", "u^2", "--vars", "u"], capsys)
-        assert code == 0
-        assert out == run_out(self.ARGS + ["--seed", "square"], capsys)[1]
-
     @pytest.mark.parametrize(
         "seed,names",
-        [("t^2", "a,b"), ("t^2", "t,u"), ("square", "u"), ("u^2", "t")],
+        [("t^2", "a,b"), ("t^2", "t,u"), ("square", "u"), ("u^2", "u")],
     )
-    def test_bad_seed_variable_is_two(self, seed, names, capsys):
+    def test_vars_other_than_t_refused(self, seed, names, capsys):
         code, out, err = run_out(self.ARGS + ["--seed", seed, "--vars", names], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == "error: --vars applies to --expr; seeds are in t\n"
 
-    def test_builtin_seed_in_t(self, capsys):
-        assert run(self.ARGS + ["--seed", "square", "--vars", "t"]) == 0
-
-    def test_seed_variable_from_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=u^2\nvars=u\ninterval=0,1\ndenominators=4\n", encoding="utf-8")
-        code, out, _ = run_out(["reconstruct", "--config", str(cfg)], capsys)
+    def test_seed_vars_t_accepted(self, capsys):
+        code, out, _ = run_out(self.ARGS + ["--seed", "square", "--vars", "t"], capsys)
         assert code == 0
-        assert out == GOLDEN_QUARTER_CSV
+        assert out == run_out(self.ARGS + ["--seed", "square"], capsys)[1]
+        assert run(self.ARGS + ["--seed", "t^2 - t", "--vars", "t"]) == 0
+
+    def test_seed_vars_from_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=square\nvars=u\ninterval=0,1\ndenominators=4\n", encoding="utf-8")
         code, out, err = run_out(["reconstruct", "--config", str(cfg)], capsys)
         assert code == 2
         assert out == "" and "error: " in err
+
+    def test_cli_seed_ignores_config_vars(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("expr=a*b\nvars=a,b\ninterval=0,1\ndenominators=4\n", encoding="utf-8")
+        code, out, _ = run_out(["reconstruct", "--config", str(cfg), "--seed", "square"], capsys)
+        assert code == 0
+        assert out == GOLDEN_QUARTER_CSV
+
+    def test_cli_expr_takes_config_vars(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("vars=u,v\n", encoding="utf-8")
+        argv = ["reconstruct", "--config", str(cfg), "--expr", "2*u*v", "--interval", "0", "1"]
+        code, out, _ = run_out(argv + ["--denominators", "2"], capsys)
+        assert code == 0
+        assert out.splitlines()[2] == "0.5,-0.25"
 
 
 class TestVerifyBoundCommand:

@@ -395,10 +395,6 @@ class TestBoundChecks:
         with pytest.raises(ValueError):
             check_bound_c0(F_BILINEAR, table, [Fraction(1, 4)], 0)
 
-    def test_callable_solution_refused(self):
-        with pytest.raises(TypeError, match="ReconstructedFunction"):
-            check_bound_c0(F_BILINEAR, lambda t: float(t) ** 2, [Fraction(1, 8)], 1)
-
     def test_ndjson_schema(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
         report = check_bound_c0(F_BILINEAR, table, [Fraction(1, 8)], 1)
