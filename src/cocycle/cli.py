@@ -208,6 +208,8 @@ def _emit_report(cfg: RunConfig, report: VerificationReport) -> int:
 
 def _cmd_check(cfg: RunConfig) -> int:
     F = cfg.function()
+    if not cfg.box > 0:  # a box of 0 or less samples only the origin
+        raise ValueError(f"check --box must be positive, got {cfg.box}")
     rng = random.Random(cfg.rng_seed)
     span = cfg.box
 

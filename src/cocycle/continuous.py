@@ -32,6 +32,7 @@ modulus-of-continuity stopping rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,10 +40,12 @@ from fractions import Fraction
 import numpy as np
 
 from .expressions import EvaluationError, _sample
-from .rational import ONE_HALF, euclid_chain, format_rational
+from .rational import euclid_chain  # noqa: F401  benchmark/tracing.py wraps it here
 
 __all__ = [
+    "ENGINES",
     "ConvergenceError",
+    "KeyGrid",
     "LatticeSolver",
     "ReconstructedFunction",
     "h_rational",
@@ -75,126 +78,139 @@ class ConvergenceError(Exception):
 class LatticeSolver:
     """Shared evaluation state for one kernel F.
 
-    Caches h at rational nodes (keyed per engine) and H at lattice pairs,
-    both by exact Fraction keys.  Reads and single-key insertions on these
-    dicts are atomic under the interpreter lock, so a solver may be shared
-    across threads that only query values.
+    Exact points are reduced integer pairs (num, den) with den > 0, and F
+    gets each one as the float num / den.  h is cached per engine by its
+    pair, and H by the 4-tuple (a, b, c, d) of H(a/b, c/d); no Fraction is
+    built below the public methods.  Reads and single-key insertions on
+    these dicts are atomic under the interpreter lock, so a solver may be
+    shared across threads that only query values.
     """
 
     def __init__(self, F):
         self.F = F
         self.F00 = float(F(0.0, 0.0))
-        self._h: dict[tuple[str, Fraction], float] = {}
-        self._H: dict[tuple[Fraction, Fraction], float] = {}
+        self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
+        self._H: dict[tuple[int, int, int, int], float] = {}
         self._omega: dict[tuple[float, int], float] = {}
 
     # -- kernel access --
 
     def H(self, x: Fraction, y: Fraction) -> float:
-        if x == 0 or y == 0:
+        """H(x, y) = F(x, y) - F(0, 0) at exact points, through the cache."""
+        x, y = Fraction(x), Fraction(y)
+        return self._kernel(x.numerator, x.denominator, y.numerator, y.denominator)
+
+    def _kernel(self, a: int, b: int, c: int, d: int) -> float:
+        if a == 0 or c == 0:
             return 0.0  # H(x, 0) = H(0, y) = 0 for any cocycle
-        key = (x, y)
+        key = (a, b, c, d)
         cached = self._H.get(key)
-        if cached is not None:
-            return cached
-        xf, yf = float(x), float(y)
+        if cached is None:
+            cached = self._H[key] = self._eval(a, b, c, d)
+        return cached
+
+    def _eval(self, a: int, b: int, c: int, d: int) -> float:
+        # H(a/b, c/d), uncached; the pairs need not be reduced
+        xf, yf = a / b, c / d
         try:
             val = float(self.F(xf, yf)) - self.F00
         except EvaluationError as exc:
             raise EvaluationError(
-                f"F not evaluable at lattice point ({x}, {y}): {exc}",
+                f"F not evaluable at lattice point ({Fraction(a, b)}, {Fraction(c, d)}): {exc}",
                 point=(xf, yf),
             ) from exc
         if not math.isfinite(val):
             raise EvaluationError(
-                f"F non-finite at lattice point ({x}, {y})", point=(xf, yf)
+                f"F non-finite at lattice point ({Fraction(a, b)}, {Fraction(c, d)})",
+                point=(xf, yf),
             )
-        self._H[key] = val
         return val
 
-    def _row_sum(self, x: Fraction, m: int) -> float:
-        # sum_{i=1..m-1} H(x, i*x); m can reach the denominator of x, so
-        # large rows go through one sampled call and exact (Shewchuk)
-        # summation via math.fsum.  A pole spoils one row, which scalar H
-        # calls then report at its lattice point.
-        if m - 1 < _VECTOR_MIN:
-            return math.fsum(self.H(x, i * x) for i in range(1, m))
-        ys = np.arange(1, m, dtype=np.float64) * float(x.numerator) / float(x.denominator)
-        try:
-            vals = _sample(self.F, float(x), ys)
-        except EvaluationError:
-            return math.fsum(self.H(x, i * x) for i in range(1, m))
-        return math.fsum((vals - self.F00).tolist())
+    def _row_sum(self, a: int, b: int, m: int) -> float:
+        # sum_{i=1..m-1} H(a/b, i*a/b); m can reach b, so long rows take one
+        # sampled call and exact (Shewchuk) summation via math.fsum.  A pole
+        # spoils one row, which scalar calls then report at its lattice
+        # point.  Each row is summed once, so it bypasses the H cache.
+        if m - 1 >= _VECTOR_MIN:
+            ys = np.arange(1, m, dtype=np.float64) * float(a) / float(b)
+            try:
+                vals = _sample(self.F, a / b, ys)
+            except EvaluationError:
+                pass
+            else:
+                return math.fsum((vals - self.F00).tolist())
+        return math.fsum(self._eval(a, b, i * a, b) for i in range(1, m))
 
     # -- h at rationals --
 
     def h(self, r: Fraction, engine: str = "euclid-chain") -> float:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
         r = Fraction(r)
-        if engine == "dyadic" and r.denominator & (r.denominator - 1):
-            raise ValueError(
-                f"dyadic engine needs a power-of-two denominator, got {r}"
-            )
-        return self._h_value(r, engine)
+        _check_engine(engine, [(r.numerator, r.denominator)])
+        return self._h_value(r.numerator, r.denominator, engine)
 
-    def _h_value(self, r: Fraction, engine: str) -> float:
-        key = (engine, r)
-        cached = self._h.get(key)
-        if cached is not None:
-            return cached
-        val = self._h_reduce(r, engine)
-        self._h[key] = val
+    def _h_value(self, num: int, den: int, engine: str) -> float:
+        cache = self._h[engine]
+        val = cache.get((num, den))
+        if val is None:
+            val = cache[(num, den)] = self._h_reduce(num, den, engine)
         return val
 
-    def _h_reduce(self, r: Fraction, engine: str) -> float:
-        if r == 0 or r == 1:
+    def _h_reduce(self, num: int, den: int, engine: str) -> float:
+        if num == 0 or num == den:
             return 0.0
-        if r < 0:
-            return -self._h_value(-r, engine) - self.H(-r, r)
-        if r >= 1:
-            k = math.floor(r)
-            if r == k:
-                return math.fsum(
-                    self.H(Fraction(1), Fraction(i)) for i in range(1, k)
-                )
-            s = r - k
+        if num < 0:
+            return -self._h_value(-num, den, engine) - self._kernel(-num, den, num, den)
+        if num > den:
+            k, s = divmod(num, den)
+            if s == 0:
+                return math.fsum(self._kernel(1, 1, i, 1) for i in range(1, k))
             return (
-                self._h_value(Fraction(k), engine)
-                + self._h_value(s, engine)
-                + self.H(Fraction(k), s)
+                self._h_value(k, 1, engine)
+                + self._h_value(s, den, engine)
+                + self._kernel(k, 1, s, den)
             )
-        if r == ONE_HALF:
-            return -self.H(ONE_HALF, ONE_HALF) / 2.0
-        if r > ONE_HALF:
-            return -self._h_value(1 - r, engine) - self.H(r, 1 - r)
+        if 2 * num == den:
+            return -self._kernel(1, 2, 1, 2) / 2.0
+        if 2 * num > den:
+            return -self._h_value(den - num, den, engine) - self._kernel(num, den, den - num, den)
         if engine == "dyadic":
-            return (self._h_value(2 * r, engine) - self.H(r, r)) / 2.0
-        return self._h_chain(r)
+            # num is odd, so 2r = num / (den/2) is reduced
+            return (self._h_value(num, den >> 1, engine) - self._kernel(num, den, num, den)) / 2.0
+        return self._h_chain(num, den)
 
-    def _h_chain(self, r: Fraction) -> float:
-        chain = euclid_chain(r)
-        n = chain.n
-        # p_0 and then each step's remainder; euclid_chain builds a valid
-        # chain, which EuclidChain has already checked once
-        rems = [r.numerator] + [p for _, p in chain.steps]
-        vals = [Fraction(p, n) for p in rems]
-        h_next = 0.0  # h at the terminal remainder, which is 0
-        for j in range(len(chain.steps) - 1, -1, -1):
-            node = vals[j]
-            key = ("euclid-chain", node)
-            hv = self._h.get(key)
-            if hv is None:
-                m = chain.steps[j][0]
-                row = self._row_sum(node, m)
-                bridge = self.H(vals[j + 1], 1 - vals[j + 1])
-                hv = -(row + bridge + h_next) / m
-                self._h[key] = hv
-            h_next = hv
-        return h_next
+    def _h_chain(self, p: int, n: int) -> float:
+        # The nodes p_j/n of the quotient chain n = m_j * p_j + p_{j+1},
+        # down to remainder 0 or to the first node already cached, then
+        # h back up the chain from there.
+        cache = self._h["euclid-chain"]
+        nodes = []
+        hv = 0.0  # h at the terminal remainder, which is 0
+        while p:
+            g = math.gcd(p, n)
+            cached = cache.get((p // g, n // g))
+            if cached is not None:
+                hv = cached
+                break
+            m, rest = divmod(n, p)
+            nodes.append((p // g, n // g, m, rest))
+            p = rest
+        for a, b, m, rest in reversed(nodes):
+            row = self._row_sum(a, b, m)
+            g = math.gcd(rest, n)  # rest = 0 gives the pair (0, 1)
+            c, d = rest // g, n // g
+            hv = cache[(a, b)] = -(row + self._kernel(c, d, d - c, d) + hv) / m
+        return hv
 
     def f_value(self, r: Fraction, engine: str = "euclid-chain") -> float:
         return self.h(r, engine) - self.F00
+
+
+def _check_engine(engine: str, pairs) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    bad = [Fraction(*p) for p in pairs if p[1] & (p[1] - 1)] if engine == "dyadic" else []
+    if bad:
+        raise ValueError(f"dyadic engine needs a power-of-two denominator, got {bad[0]}")
 
 
 def h_rational(
@@ -281,35 +297,74 @@ def reconstruct_point(
 
 # --- sample tables -----------------------------------------------------
 
-def _terminating_decimal(r: Fraction) -> str | None:
-    # Exact decimal rendering when the denominator is 2^a * 5^b.
-    rest = r.denominator
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+class KeyGrid:
+    """Sorted, distinct exact keys, held as reduced integer pairs
+    (num, den) with den > 0 in ``pairs``.  Read as a sequence it yields
+    Fractions, built on access; the solver and the table writers read
+    ``pairs`` and build none."""
+
+    def __init__(self, pairs: list[tuple[int, int]]):
+        self.pairs = pairs
+
+    @classmethod
+    def of(cls, keys) -> "KeyGrid":
+        """``keys`` if a KeyGrid, else its distinct values (as Fraction()
+        reads them) in order."""
+        if isinstance(keys, KeyGrid):
+            return keys
+        return cls([(q.numerator, q.denominator) for q in sorted({Fraction(k) for k in keys})])
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(*self.pairs[i])  # also serves iteration and `in`
+
+    def __eq__(self, other):
+        if not isinstance(other, (KeyGrid, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+
+def _decimal_places(den: int) -> tuple[int, int] | None:
+    """(places, 10**places // den) when p/den in lowest terms is a
+    terminating decimal, that is den = 2^a * 5^b and places = max(a, b);
+    None otherwise."""
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest != 1:
-        return None
-    digits = max(twos, fives)
-    if digits == 0:
-        return str(r.numerator)
-    scaled = abs(r.numerator) * 10**digits // r.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    head, tail = text[:-digits], text[-digits:].rstrip("0")
-    out = head + ("." + tail if tail else "")
-    return "-" + out if r < 0 else out
+    places = max(twos, fives)
+    return (places, 10**places // den) if rest == 1 else None
+
+
+def _decimal_text(num: int, places: int, scale: int) -> str:
+    # the exact decimal of num/den, given _decimal_places(den); its last
+    # digit is never 0, since num is odd when den is even and not a
+    # multiple of 5 when 5 divides den
+    if places == 0:
+        return str(num)
+    text = str(abs(num) * scale).rjust(places + 1, "0")
+    return f"{'-' if num < 0 else ''}{text[:-places]}.{text[-places:]}"
 
 
 @dataclass
 class ReconstructedFunction:
-    """Sampled reconstruction: exact rational keys to float values."""
+    """Sampled reconstruction: f at the exact keys of a KeyGrid, with
+    ``values`` in key order."""
 
-    samples: dict[Fraction, float]
+    keys: KeyGrid
+    values: list[float]
     engine: str
     normalization: dict[str, float] = field(default_factory=dict)
+
+    @functools.cached_property
+    def samples(self) -> dict[Fraction, float]:
+        """The table as a dict from exact key to value, built on first use.
+        ``value_at`` reads it; the writers read ``keys`` and ``values``."""
+        return dict(zip(self.keys, self.values))
 
     def value_at(self, t) -> float:
         key = t if isinstance(t, Fraction) else Fraction(t)
@@ -321,31 +376,33 @@ class ReconstructedFunction:
     def __call__(self, t) -> float:
         return self.value_at(t)
 
+    def _decimals(self) -> list[tuple[int, int] | None]:
+        pairs = self.keys.pairs
+        per_den = {den: _decimal_places(den) for den in {den for _, den in pairs}}
+        return [per_den[den] for _, den in pairs]
+
     def to_csv_text(self) -> str:
-        exact = {k: _terminating_decimal(k) for k in self.samples}
-        with_exact = any(v is None for v in exact.values())
-        header = "t,f,t_exact" if with_exact else "t,f"
-        lines = [header]
-        for k, v in self.samples.items():
-            t_text = exact[k] if exact[k] is not None else f"{float(k):.17g}"
-            row = f"{t_text},{v:.17g}"
-            if with_exact:
-                row += "," + ("" if exact[k] is not None else format_rational(k))
-            lines.append(row)
+        # t is the exact decimal when there is one, else the float num/den
+        # with the key as p/n (format_rational's form) in t_exact
+        decimals = self._decimals()
+        with_exact = None in decimals
+        lines = ["t,f,t_exact" if with_exact else "t,f"]
+        tail = "," if with_exact else ""
+        for (num, den), dec, v in zip(self.keys.pairs, decimals, self.values):
+            if dec is None:
+                lines.append(f"{num / den:.17g},{v:.17g},{num}/{den}")
+            else:
+                lines.append(f"{_decimal_text(num, *dec)},{v:.17g}{tail}")
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         rows = []
-        for k, v in self.samples.items():
-            row: dict = {"t": float(k), "f": v}
-            if _terminating_decimal(k) is None:
-                row["t_exact"] = format_rational(k)
+        for (num, den), dec, v in zip(self.keys.pairs, self._decimals(), self.values):
+            row: dict = {"t": num / den, "f": v}
+            if dec is None:
+                row["t_exact"] = f"{num}/{den}"
             rows.append(row)
-        return {
-            "engine": self.engine,
-            "normalization": self.normalization,
-            "samples": rows,
-        }
+        return {"engine": self.engine, "normalization": self.normalization, "samples": rows}
 
 
 def reconstruct_table(
@@ -355,29 +412,18 @@ def reconstruct_table(
     *,
     solver: LatticeSolver | None = None,
 ) -> ReconstructedFunction:
-    """Reconstruct f at the given rational keys (sorted, deduplicated)."""
+    """Reconstruct f at the given rational keys, sorted and deduplicated
+    (a KeyGrid from grid_keys is used as it is)."""
     solver = solver or LatticeSolver(F)
-    ordered = sorted({Fraction(k) for k in keys})
-    samples = {k: solver.f_value(k, engine) for k in ordered}
+    grid = KeyGrid.of(keys)
+    _check_engine(engine, grid.pairs)
+    h, f00 = solver._h_value, solver.F00
     return ReconstructedFunction(
-        samples=samples,
+        keys=grid,
+        values=[h(num, den, engine) - f00 for num, den in grid.pairs],
         engine=engine,
-        normalization={"f(0)": -solver.F00, "f(1)": -solver.F00},
+        normalization={"f(0)": -f00, "f(1)": -f00},
     )
-
-
-def _check_grid_size(a: Fraction, b: Fraction, dens) -> None:
-    """Raise ValueError when the multiples of 1/den in [a, b], summed over
-    dens (an upper bound on the key count), exceed MAX_GRID_KEYS; the sum
-    stops as soon as it does, so a huge bound is refused at once."""
-    total = 0
-    for den in dens:
-        total += math.floor(b * den) - math.ceil(a * den) + 1
-        if total > MAX_GRID_KEYS:
-            raise ValueError(
-                f"grid on [{a}, {b}] would hold over {total} keys; "
-                f"the limit is {MAX_GRID_KEYS}"
-            )
 
 
 def grid_keys(
@@ -385,10 +431,11 @@ def grid_keys(
     *,
     denominators: int | None = None,
     dyadic_level: int | None = None,
-) -> list[Fraction]:
+) -> KeyGrid:
     """Reduced rationals in [a, b]: all with denominator <= bound, or all
-    multiples of 2**-level.  Grids of more than MAX_GRID_KEYS keys are
-    rejected with ValueError before any key is built."""
+    multiples of 2**-level, in increasing order.  Grids of more than
+    MAX_GRID_KEYS keys are rejected with ValueError before any key is
+    built."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
     if any(isinstance(x, float) and not math.isfinite(x) for x in interval):
@@ -396,22 +443,37 @@ def grid_keys(
     a, b = (Fraction(x) for x in interval)
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    keys: list[Fraction] = []
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+
+    def span(den: int) -> range:
+        # the numerators num with a <= num/den <= b
+        return range(-(-an * den // ad), bn * den // bd + 1)
+
     if denominators is not None:
         if denominators < 1:
             raise ValueError("denominator bound must be >= 1")
-        _check_grid_size(a, b, range(1, denominators + 1))
-        for den in range(1, denominators + 1):
-            for num in range(math.ceil(a * den), math.floor(b * den) + 1):
-                if math.gcd(num, den) == 1:
-                    keys.append(Fraction(num, den))
-        keys.sort()
-        return keys
-    if dyadic_level < 0:
-        raise ValueError("dyadic level must be >= 0")
-    den = 1 << dyadic_level
-    _check_grid_size(a, b, (den,))
-    return [
-        Fraction(num, den)
-        for num in range(math.ceil(a * den), math.floor(b * den) + 1)
-    ]
+        dens = range(1, denominators + 1)
+    else:
+        if dyadic_level < 0:
+            raise ValueError("dyadic level must be >= 0")
+        dens = (1 << dyadic_level,)
+    # the multiples of 1/den in [a, b], summed over dens, bound the key
+    # count; the sum stops as soon as it passes the limit
+    total = 0
+    for den in dens:
+        total += len(span(den))
+        if total > MAX_GRID_KEYS:
+            raise ValueError(
+                f"grid on [{a}, {b}] would hold over {total} keys; "
+                f"the limit is {MAX_GRID_KEYS}"
+            )
+    if dyadic_level is not None:
+        (den,) = dens
+        return KeyGrid([(num // (g := math.gcd(num, den)), den // g) for num in span(den)])
+    pairs = [(num, den) for den in dens for num in span(den) if math.gcd(num, den) == 1]
+    # Rounding to float keeps order but can merge neighbours; only then
+    # is the order settled exactly.
+    pairs.sort(key=lambda p: p[0] / p[1])
+    if len({num / den for num, den in pairs}) < len(pairs):
+        pairs.sort(key=lambda p: Fraction(*p))
+    return KeyGrid(pairs)

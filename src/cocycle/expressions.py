@@ -24,6 +24,19 @@ from typing import Union
 
 import numpy as np
 
+__all__ = [
+    "ParseError",
+    "EvaluationError",
+    "parse_expr",
+    "eval_expr",
+    "FuncSpec",
+    "BUILTIN_SEEDS",
+    "bivariate_expression",
+    "seed_expression",
+    "builtin_seed",
+    "cocycle_from_seed",
+]
+
 
 class ParseError(Exception):
     """Syntax or name error, with the 0-based offset where it occurred."""

@@ -1,9 +1,9 @@
 """Exact rationals: parsing, formatting and quotient chains.
 
-Rationals are plain ``fractions.Fraction`` values: arbitrary precision,
-always stored reduced, denominator positive.  Everything downstream keys
-caches and sample tables by these exact values, so no float is ever used
-to identify a lattice point.
+The public API takes and returns plain ``fractions.Fraction`` values.
+Below it the lattice solver and the sample tables key by reduced integer
+pairs (num, den) with den > 0, so neither a Fraction nor a float is ever
+used to identify a lattice point there.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-ONE_HALF = Fraction(1, 2)
-
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 __all__ = [
-    "ONE_HALF",
     "EuclidChain",
     "parse_rational",
     "format_rational",
@@ -94,7 +91,7 @@ def euclid_chain(r: Fraction) -> EuclidChain:
     hits zero.  Raises ValueError outside the domain.
     """
     r = Fraction(r)
-    if not Fraction(0) < r < ONE_HALF:
+    if not 0 < r < Fraction(1, 2):
         raise ValueError(f"chain domain is (0, 1/2), got {r}")
     n = r.denominator
     p = r.numerator

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .continuous import ReconstructedFunction
+from .continuous import KeyGrid, ReconstructedFunction
 
 __all__ = [
     "QuadratureError",
@@ -160,28 +159,26 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
     """Reconstruct f at the given keys through the derivative route.
 
     The integral is accumulated segment by segment between consecutive
-    keys (anchored at 0), so a grid costs one quadrature per gap.
+    keys, outward from 0 on each side, so a grid costs one quadrature per
+    gap.
     """
     profile = derivative_profile(F)
     f00 = float(F(0.0, 0.0))
-    ordered = sorted({Fraction(k) for k in keys})
-    anchors = sorted({Fraction(0), *ordered})
-    zero_at = anchors.index(Fraction(0))
-    xs = [float(a) for a in anchors]
-
-    integral: dict[Fraction, float] = {Fraction(0): 0.0}
-    acc = 0.0
-    for i in range(zero_at + 1, len(anchors)):
-        acc += _integrate(profile.h1, xs[i - 1], xs[i], tol, 50)
-        integral[anchors[i]] = acc
-    acc = 0.0
-    for i in range(zero_at - 1, -1, -1):
-        acc -= _integrate(profile.h1, xs[i], xs[i + 1], tol, 50)
-        integral[anchors[i]] = acc
-
-    samples = {k: -_SQRT2 * integral[k] - f00 for k in ordered}
+    grid = KeyGrid.of(keys)
+    xs = [num / den for num, den in grid.pairs]
+    split = sum(num < 0 for num, _ in grid.pairs)  # the keys sort negatives first
+    integral = [0.0] * len(xs)
+    acc, prev = 0.0, 0.0
+    for i in range(split, len(xs)):
+        acc += _integrate(profile.h1, prev, xs[i], tol, 50)
+        integral[i], prev = acc, xs[i]
+    acc, prev = 0.0, 0.0
+    for i in range(split - 1, -1, -1):
+        acc -= _integrate(profile.h1, xs[i], prev, tol, 50)
+        integral[i], prev = acc, xs[i]
     return ReconstructedFunction(
-        samples=samples,
+        keys=grid,
+        values=[-_SQRT2 * v - f00 for v in integral],
         engine="ck",
         normalization={"f(0)": -f00, "f'(0)": 0.0},
     )

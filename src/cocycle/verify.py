@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuous import LatticeSolver, ReconstructedFunction
 from .expressions import _sample
-from .rational import ONE_HALF, format_rational
+from .rational import format_rational
 
 __all__ = [
     "CheckResult",
@@ -46,6 +46,9 @@ _GRID_AXIS_LIMIT = 1024
 
 # Points per axis of the probe's anchor lattice.
 _PROBE_ANCHORS = 33
+
+# check_bound_c0 evaluates its kernel grid in blocks of about this many points.
+_BLOCK_POINTS = 1 << 16
 
 
 def _jsonable(value):
@@ -279,7 +282,7 @@ def modulus_probe(fn, delta: float, domain) -> float:
 
 def _as_bound_delta(delta) -> Fraction:
     d = Fraction(delta) if not isinstance(delta, Fraction) else delta
-    if not Fraction(0) < d < ONE_HALF:
+    if not 0 < d < Fraction(1, 2):
         raise ValueError(f"delta must lie in (0, 1/2), got {d}")
     return d
 
@@ -308,16 +311,21 @@ def check_bound_c0(
     ds = [_as_bound_delta(d) for d in deltas]
     if not ds:
         raise ValueError("need at least one delta")
-    keys = sorted(k for k in table.samples if -M <= k <= M)
-    if len(keys) < 2:
+    entries = zip(table.keys.pairs, table.values)
+    inside = [(num / den, v) for (num, den), v in entries if -M * den <= num <= M * den]
+    if len(inside) < 2:
         raise ValueError("sample table too small on [-M, M]")
-    kf = np.array([float(k) for k in keys])
-    vf = np.array([table.samples[k] for k in keys])
+    kf, vf = (np.array(col) for col in zip(*inside))
     gaps = np.diff(kf)
     f_step = float(np.max(gaps))
     kernel_step = f_step / 4.0
     xs = _axis(-float(M), float(M), kernel_step)
-    kernel_vals = _sample(F, *np.meshgrid(xs, xs, indexing="ij"))
+    # one preallocated grid, filled a block of rows at a time, so only a
+    # block's worth of coordinates and temporaries is alive at once
+    kernel_vals = np.empty((len(xs), len(xs)))
+    rows = max(1, _BLOCK_POINTS // len(xs))
+    for i in range(0, len(xs), rows):
+        kernel_vals[i : i + rows] = _sample(F, *np.meshgrid(xs[i : i + rows], xs, indexing="ij"))
     actual_step = float(xs[1] - xs[0])
 
     f00 = float(F(0.0, 0.0))

@@ -22,6 +22,7 @@ GOLDEN_QUARTER_CSV = """t,f,t_exact
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+DATA = Path(__file__).resolve().parent / "data"
 
 NONFINITE_ARGS = [
     ["verify-bound", "--seed", "cube", "--delta", "1/8", "--box", "inf"],
@@ -168,6 +169,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "whole number" in err
 
+    @pytest.mark.parametrize("box", ["0", "-1"])
+    def test_check_box_must_be_positive(self, box, tmp_path, capsys):
+        # a box of 0 sampled only the origin, where x*y^2 passes both checks
+        argv = ["check", "--expr", "x*y^2", "--samples", "50"]
+        code, out, err = run_out(argv + ["--box", box], capsys)
+        assert (code, out) == (2, "") and "--box must be positive" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"box={box}\n", encoding="utf-8")
+        code, out, err = run_out(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "") and "--box must be positive" in err
+
     def test_evaluation_error_is_two(self, capsys):
         code = run(
             ["reconstruct", "--expr", "1/(x - 1/4)", "--interval", "0", "1",
@@ -308,6 +320,36 @@ class TestReconstructCommand:
         )
         assert code == 0
         assert out.splitlines()[2] == "0.5,-0.25"
+
+
+class TestGoldens:
+    """Output recorded before the lattice moved to integer keys, compared
+    byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("reconstruct_expo_den12.csv",
+             ["reconstruct", "--seed", "expo", "--denominators", "12", "--interval", "-2.5", "1.75"]),
+            ("reconstruct_sine_dyadic5.json",
+             ["reconstruct", "--seed", "sine", "--engine", "dyadic", "--dyadic-level", "5",
+              "--interval", "-1.5", "2.25", "--format", "json"]),
+            ("verify_bound_cube_8.ndjson", ["verify-bound", "--seed", "cube", "--delta", "1/8"]),
+        ],
+    )
+    def test_output_matches_golden(self, name, argv, tmp_path):
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+    def test_dyadic_level_14_stays_fast(self, tmp_path):
+        # on a shared 2-core machine this took 3.1 s when every key was a
+        # Fraction, and takes about 0.6 s with integer keys
+        start = time.perf_counter()
+        code = run(["reconstruct", "--seed", "sine", "--engine", "dyadic", "--dyadic-level", "14",
+                    "--interval", "-2", "2", "--out", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSeedVariable:

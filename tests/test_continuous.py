@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,18 +17,195 @@ from cocycle import (
     EvaluationError,
     LatticeSolver,
     bivariate_expression,
+    euclid_chain,
     grid_keys,
     h_rational,
     reconstruct_point,
     reconstruct_table,
 )
+from cocycle.expressions import _sample
 
 F_BILINEAR = bivariate_expression("2*x*y")  # seed t^2, oracle h(t) = t^2 - t
 F_ZERO = bivariate_expression("0")
+F_EXPO = seed_kernel("expo")
 
 small_rationals = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=24
 )
+
+
+class ReferenceSolver:
+    """The Fraction-keyed lattice recursion that the integer-keyed
+    LatticeSolver replaced, kept as the reference for its values: the same
+    F calls, float operations and row fallback, with exact keys as
+    Fractions."""
+
+    def __init__(self, F):
+        self.F = F
+        self.F00 = float(F(0.0, 0.0))
+        self._h: dict = {}
+        self._H: dict = {}
+
+    def H(self, x: Fraction, y: Fraction) -> float:
+        if x == 0 or y == 0:
+            return 0.0
+        if (x, y) not in self._H:
+            try:
+                val = float(self.F(float(x), float(y))) - self.F00
+            except EvaluationError as exc:
+                raise EvaluationError(str(exc), point=(float(x), float(y))) from exc
+            if not math.isfinite(val):
+                raise EvaluationError("non-finite", point=(float(x), float(y)))
+            self._H[(x, y)] = val
+        return self._H[(x, y)]
+
+    def _row_sum(self, x: Fraction, m: int) -> float:
+        if m - 1 >= continuous._VECTOR_MIN:
+            ys = np.arange(1, m, dtype=np.float64) * float(x.numerator) / float(x.denominator)
+            try:
+                vals = _sample(self.F, float(x), ys)
+            except EvaluationError:
+                pass
+            else:
+                return math.fsum((vals - self.F00).tolist())
+        return math.fsum(self.H(x, i * x) for i in range(1, m))
+
+    def h(self, r: Fraction, engine: str = "euclid-chain") -> float:
+        key = (engine, r)
+        if key not in self._h:
+            self._h[key] = self._reduce(r, engine)
+        return self._h[key]
+
+    def _reduce(self, r: Fraction, engine: str) -> float:
+        half = Fraction(1, 2)
+        if r == 0 or r == 1:
+            return 0.0
+        if r < 0:
+            return -self.h(-r, engine) - self.H(-r, r)
+        if r >= 1:
+            k = math.floor(r)
+            if r == k:
+                return math.fsum(self.H(Fraction(1), Fraction(i)) for i in range(1, k))
+            return self.h(Fraction(k), engine) + self.h(r - k, engine) + self.H(Fraction(k), r - k)
+        if r == half:
+            return -self.H(half, half) / 2.0
+        if r > half:
+            return -self.h(1 - r, engine) - self.H(r, 1 - r)
+        if engine == "dyadic":
+            return (self.h(2 * r, engine) - self.H(r, r)) / 2.0
+        chain = euclid_chain(r)
+        nodes = [Fraction(p, chain.n) for p in chain.remainders()]
+        h_next = 0.0
+        for j in range(len(chain.steps) - 1, -1, -1):
+            key = ("euclid-chain", nodes[j])
+            if key not in self._h:
+                m = chain.steps[j][0]
+                bridge = self.H(nodes[j + 1], 1 - nodes[j + 1])
+                self._h[key] = -(self._row_sum(nodes[j], m) + bridge + h_next) / m
+            h_next = self._h[key]
+        return h_next
+
+
+KERNELS = {
+    **{name: seed_kernel(name) for name in ("sine", "expo", "hoelder", "cube")},
+    "2*x*y": F_BILINEAR,
+}
+
+
+
+def rationals_up_to(max_den: int):
+    """Reduced rationals with |t| up to 5 and denominators up to max_den."""
+    return st.integers(1, max_den).flatmap(
+        lambda n: st.integers(-5 * n, 5 * n).map(lambda p: Fraction(p, n))
+    )
+
+
+# denominators up to 10^6, so that chain rows of 128 terms and more take
+# the array path
+wide_rationals = rationals_up_to(10**6)
+dyadic_rationals = st.integers(0, 20).flatmap(
+    lambda L: st.integers(-5 << L, 5 << L).map(lambda k: Fraction(k, 1 << L))
+)
+
+
+def _outcome(solver, r, engine="euclid-chain"):
+    """h(r), or the lattice point of the EvaluationError it raised."""
+    try:
+        return solver.h(r, engine)
+    except EvaluationError as exc:
+        return ("error", exc.point)
+
+
+class TestAgainstReference:
+    @given(st.sampled_from(sorted(KERNELS)), st.one_of(small_rationals, wide_rationals))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_engine_equals_reference(self, name, r):
+        F = KERNELS[name]
+        assert LatticeSolver(F).h(r) == ReferenceSolver(F).h(r)
+
+    @given(st.sampled_from(sorted(KERNELS)), dyadic_rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_engine_equals_reference(self, name, r):
+        F = KERNELS[name]
+        assert LatticeSolver(F).h(r, "dyadic") == ReferenceSolver(F).h(r, "dyadic")
+
+    @pytest.mark.parametrize("n,arrays", [(128, 0), (129, 1), (130, 1)])
+    def test_vector_threshold_equals_reference(self, n, arrays):
+        # 1/n has a row of n - 1 terms: scalar calls below 128, one array
+        # call from 128 on; numpy's exp and math.exp differ in some last bits
+        calls = []
+
+        def F(x, y):
+            calls.append(isinstance(y, np.ndarray))
+            return F_EXPO(x, y)
+
+        got = LatticeSolver(F).h(Fraction(1, n))
+        assert sum(calls) == arrays
+        assert got == ReferenceSolver(F_EXPO).h(Fraction(1, n))
+
+    @given(st.sampled_from(sorted(KERNELS)), st.lists(small_rationals, min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_shared_caches_equal_reference(self, name, rs):
+        # one solver across many keys: values read back from the caches
+        # equal those computed afresh
+        F = KERNELS[name]
+        solver, ref = LatticeSolver(F), ReferenceSolver(F)
+        for r in rs:
+            assert solver.h(r) == ref.h(r)
+
+    @given(st.integers(1, 2000), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_pole_row_falls_back_like_reference(self, k, shift):
+        # 1/(y - 1/3) has a pole on every row through y = 1/3, so those
+        # rows fall back to scalar calls, which report the lattice point
+        F = bivariate_expression("2*x*y + 1/(y - 1/3)")
+        r = Fraction(k, 3 * 200) + shift
+        assert _outcome(LatticeSolver(F), r) == _outcome(ReferenceSolver(F), r)
+
+    @given(rationals_up_to(10**4))
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_rows_equal_reference(self, r):
+        # a kernel that refuses arrays sends every long row to scalar calls
+        def F(x, y):
+            if isinstance(y, np.ndarray):
+                raise EvaluationError("no arrays")
+            return F_EXPO(x, y)
+
+        assert LatticeSolver(F).h(r) == ReferenceSolver(F).h(r)
+
+    @given(st.sampled_from(sorted(KERNELS)), small_rationals, small_rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_cocycle_identity(self, name, x, y):
+        solver = LatticeSolver(KERNELS[name])
+        lhs = solver.h(x + y) - solver.h(x) - solver.h(y)
+        assert lhs == pytest.approx(solver.H(x, y), abs=1e-10)
+
+    @given(st.sampled_from(sorted(KERNELS)), st.integers(0, 12).flatmap(
+        lambda L: st.integers(-4 << L, 4 << L).map(lambda k: Fraction(k, 1 << L))))
+    @settings(max_examples=80, deadline=None)
+    def test_engines_agree_on_dyadic_keys(self, name, r):
+        solver = LatticeSolver(KERNELS[name])
+        assert solver.h(r, "euclid-chain") == pytest.approx(solver.h(r, "dyadic"), abs=1e-10)
 
 
 class TestLatticeValues:
@@ -224,6 +402,55 @@ class TestGridKeys:
         with pytest.raises(ValueError, match="limit is 9"):
             grid_keys((0, 1), dyadic_level=4)
 
+    @staticmethod
+    def _brute_force(a, b, dens):
+        a, b = Fraction(a), Fraction(b)
+        return sorted({
+            Fraction(num, den)
+            for den in dens
+            for num in range(math.ceil(a * den), math.floor(b * den) + 1)
+        })
+
+    @given(
+        st.integers(1, 2000),
+        st.one_of(st.floats(-50, 50), small_rationals),
+        st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_denominator_grid_in_exact_order(self, bound, a, share):
+        # widths keep the candidate count near 20,000 at any bound
+        b = Fraction(a) + Fraction(share * min(5.0, 40000 / bound**2))
+        keys = grid_keys((a, b), denominators=bound)
+        assert list(keys) == self._brute_force(a, b, range(1, bound + 1))
+
+    @given(st.integers(0, 24), st.floats(-50, 50), st.floats(0.01, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_dyadic_grid_in_exact_order(self, level, a, share):
+        b = a + share * min(5.0, 20000 / 2**level)
+        keys = grid_keys((a, b), dyadic_level=level)
+        assert list(keys) == self._brute_force(a, b, [1 << level])
+
+    @pytest.mark.parametrize(
+        "interval,bound",
+        [
+            ((10**6, 10**6 + 1e-3), 2000),  # neighbours 1/q^2 apart, far from 0
+            ((-(10**6) - 1e-3, -(10**6)), 2000),
+            ((2**60, 2**60 + 1), 3),  # distinct keys that round to one float
+            ((-(2**55) - 1, -(2**55) + 1), 5),
+        ],
+    )
+    def test_near_equal_neighbours_in_exact_order(self, interval, bound):
+        keys = grid_keys(interval, denominators=bound)
+        assert list(keys) == self._brute_force(*interval, range(1, bound + 1))
+
+    def test_key_grid_reads_as_fractions(self):
+        keys = grid_keys((-1, 1), denominators=3)
+        assert keys.pairs[:3] == [(-1, 1), (-2, 3), (-1, 2)]
+        assert keys[1] == Fraction(-2, 3) and keys[-1] == Fraction(1)
+        assert list(keys)[1:3] == [Fraction(-2, 3), Fraction(-1, 2)]
+        assert Fraction(1, 3) in keys and len(keys) == 9
+        assert keys == tuple(keys) and keys != list(keys)[1:]
+
     def test_huge_grids_refused_at_once(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="limit is 1000000"):
@@ -315,6 +542,21 @@ class TestCsv:
         assert lines[1].startswith("-0.75,")
         assert lines[2].startswith("0.2,")
         assert lines[3].startswith("2,")
+
+    @given(st.lists(st.fractions(-50, 50, max_denominator=4000), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_t_column_is_exact(self, keys):
+        # a terminating key is written as its exact decimal, any other as
+        # its float, with the key itself in t_exact
+        table = reconstruct_table(F_ZERO, keys)
+        rows = [line.split(",") for line in table.to_csv_text().splitlines()[1:]]
+        for key, (t_text, _, *exact) in zip(sorted(set(keys)), rows):
+            if exact and exact[0]:
+                assert exact[0] == f"{key.numerator}/{key.denominator}"
+                assert t_text == f"{float(key):.17g}"
+            else:
+                assert Fraction(Decimal(t_text)) == key
+                assert "." not in t_text or not t_text.endswith("0")
 
     def test_byte_determinism(self):
         keys = grid_keys((0, 1), denominators=5)

@@ -24,6 +24,7 @@ from cocycle import (
     reconstruct_table,
     symmetry_residual,
 )
+from cocycle import verify
 from cocycle.verify import _window_max_2d
 
 F_BILINEAR = bivariate_expression("2*x*y")
@@ -394,6 +395,18 @@ class TestBoundChecks:
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
         with pytest.raises(ValueError):
             check_bound_c0(F_BILINEAR, table, [Fraction(1, 4)], 0)
+
+    @pytest.mark.parametrize("name", ["expo", "sine", "hoelder"])
+    def test_row_blocks_equal_one_grid(self, name, monkeypatch):
+        # the kernel grid is filled in row blocks; any block size, down to
+        # one row, gives the report of a single full-grid evaluation
+        F = seed_kernel(name)
+        table = reconstruct_table(F, grid_keys((-2, 2), denominators=16))
+        reports = []
+        for points in (10**9, 1000, 1):
+            monkeypatch.setattr(verify, "_BLOCK_POINTS", points)
+            reports.append(check_bound_c0(F, table, [Fraction(1, 8)], 2).to_ndjson())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_ndjson_schema(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
