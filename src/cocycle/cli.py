@@ -237,7 +237,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> int:
     else:
         table = reconstruct_table(F, keys, engine=cfg.engine)
     if cfg.format == "json":
-        _write_text(cfg.out, json.dumps(table.to_json_obj(), indent=2) + "\n")
+        _write_text(cfg.out, table.to_json_text())
     else:
         _write_text(cfg.out, table.to_csv_text())
     return 0

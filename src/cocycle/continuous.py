@@ -12,7 +12,8 @@ specialized, with h(0) = h(1) = 0):
 
   h(0) = h(1) = 0
   h(-r)      = -h(r) - H(r, -r)                    take (x, y) = (r, -r)
-  h(k)       = sum_{i=1..k-1} H(1, i)              integers k >= 2
+  h(2m)      = 2 h(m) + H(m, m)                    integers k >= 2, along
+  h(m + 1)   = h(m) + H(1, m)                      the binary digits of k
   h(k + s)   = h(k) + h(s) + H(k, s)               integer + fractional split
   h(1/2)     = -H(1/2, 1/2) / 2
   h(r)       = -h(1-r) - H(r, 1-r)                 reflect (1/2, 1) into (0, 1/2)
@@ -26,20 +27,32 @@ and on the core interval (0, 1/2) by one of two engines:
   dyadic         h(x) = (h(2x) - H(x, x)) / 2, descending from the
                  integer/half lattice (power-of-two denominators only).
 
-Real targets are handled by a limit over dyadic approximants with a
-modulus-of-continuity stopping rule.
+Real targets are handled by a limit over dyadic approximants t_j with a
+certified stopping rule.  For d = t - t_j the cocycle relation gives
+f(t) - f(t_j) = H(t_j, d) + h(d), and h(u) = (h(2u) - H(u, u)) / 2 gives
+S(r) <= (S(2r) + E(r)) / 2 for S(r) = sup_{|u|<=r} |h(u)| and
+E(r) = sup_{|u|<=r} |H(u, u)|.  Unrolled up to r = 1 and closed with
+S(1) <= 3 * osc(F; [-1, 1]^2), the factor-3 transfer bound, that makes
+
+  |f(t) - f(t_j)| <= |H(t_j, d)| + S(|d|)
+
+computable from interval enclosures of F alone (FuncSpec.enclose): one
+at (t_j, d) and one on [-r, r]^2 per dyadic scale r, which the solver
+caches.  The bound holds in real arithmetic; it does not cover the
+rounding inside the lattice recursion that computes f(t_j).
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .expressions import EvaluationError, _sample
+from .expressions import EvaluationError, FuncSpec, _i_sub, _sample
 from .rational import euclid_chain  # noqa: F401  benchmark/tracing.py wraps it here
 
 __all__ = [
@@ -91,7 +104,10 @@ class LatticeSolver:
         self.F00 = float(F(0.0, 0.0))
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
         self._H: dict[tuple[int, int, int, int], float] = {}
-        self._omega: dict[tuple[float, int], float] = {}
+        # for reconstruct_point: F(0, 0) enclosed, and _S[n], a bound of
+        # sup |h(u)| over |u| <= 2**-n
+        self._F00_box = F.enclose((0.0, 0.0), (0.0, 0.0)) if isinstance(F, FuncSpec) else None
+        self._S: list[float] = []
 
     # -- kernel access --
 
@@ -163,7 +179,7 @@ class LatticeSolver:
         if num > den:
             k, s = divmod(num, den)
             if s == 0:
-                return math.fsum(self._kernel(1, 1, i, 1) for i in range(1, k))
+                return self._h_integer(k)
             return (
                 self._h_value(k, 1, engine)
                 + self._h_value(s, den, engine)
@@ -177,6 +193,18 @@ class LatticeSolver:
             # num is odd, so 2r = num / (den/2) is reduced
             return (self._h_value(num, den >> 1, engine) - self._kernel(num, den, num, den)) / 2.0
         return self._h_chain(num, den)
+
+    def _h_integer(self, k: int) -> float:
+        # h(k), k >= 2, along the binary digits of k from h(1) = 0:
+        # h(2m) = 2h(m) + H(m, m) and h(m+1) = h(m) + H(1, m)
+        hv, m = 0.0, 1
+        for bit in bin(k)[3:]:
+            hv = 2.0 * hv + self._kernel(m, 1, m, 1)
+            m *= 2
+            if bit == "1":
+                hv += self._kernel(1, 1, m, 1)
+                m += 1
+        return hv
 
     def _h_chain(self, p: int, n: int) -> float:
         # The nodes p_j/n of the quotient chain n = m_j * p_j + p_{j+1},
@@ -203,6 +231,42 @@ class LatticeSolver:
 
     def f_value(self, r: Fraction, engine: str = "euclid-chain") -> float:
         return self.h(r, engine) - self.F00
+
+    # -- certified bounds (F a FuncSpec) --
+
+    def _H_abs(self, x: tuple[float, float], y: tuple[float, float]) -> float:
+        # sup |H| = sup |F(x, y) - F(0, 0)| over the box x * y, rounded up
+        lo, hi = _i_sub(self.F.enclose(x, y), self._F00_box)
+        return max(-lo, hi)
+
+    def _h_bound(self, n: int) -> float:
+        """An upper bound of sup |h(u)| over |u| <= 2**-n, for n >= 0."""
+        S = self._S
+        if not S:
+            lo, hi = self.F.enclose((-1.0, 1.0), (-1.0, 1.0))
+            S.append(_up(3.0 * _up(hi - lo)))
+        while len(S) <= n:
+            r = math.ldexp(1.0, -len(S))
+            S.append(_up(_up(S[-1] + self._H_abs((-r, r), (-r, r))) / 2.0))
+        return S[n]
+
+    def _limit_bound(self, q: Fraction, d: Fraction) -> float:
+        """An upper bound of |f(q + d) - f(q)| = |H(q, d) + h(d)| for
+        0 < |d| <= 1."""
+        n = (d.denominator // abs(d.numerator)).bit_length() - 1  # the largest n with |d| <= 2**-n
+        return _up(self._H_abs(_bracket(q), _bracket(d)) + self._h_bound(n))
+
+
+def _up(v: float) -> float:
+    return math.nextafter(v, math.inf)
+
+
+def _bracket(r: Fraction) -> tuple[float, float]:
+    """The float r as an interval: a point when exact, else one ulp each side."""
+    x = r.numerator / r.denominator
+    if x.as_integer_ratio() == (r.numerator, r.denominator):
+        return x, x
+    return math.nextafter(x, -math.inf), _up(x)
 
 
 def _check_engine(engine: str, pairs) -> None:
@@ -250,12 +314,16 @@ def reconstruct_point(
     """Value of the reconstructed f at a single point.
 
     Exact inputs (int or Fraction) are answered on the rational lattice.
-    Floats are treated as real targets: f is evaluated along dyadic
-    approximants t_j until 3 * omega(F; |t - t_j|) <= epsilon on the
-    enclosing box and successive values agree within epsilon, then two
-    further refinement levels are taken as margin (the modulus estimate
-    is a lower bound).  Raises ConvergenceError if the rule is not met
-    within max_depth levels.
+    Floats are treated as real targets: f is evaluated at the dyadic
+    approximants t_j (level j = 1, 2, ...) and f(t_j) is returned at the
+    first level where the certified bound |H(t_j, d)| + S(|d|) on
+    |f(t) - f(t_j)|, d = t - t_j (module docstring), is at most epsilon.
+    The bound is built from interval enclosures of F, so F must be a
+    FuncSpec; a float target with any other callable raises ValueError.
+    It holds in real arithmetic and does not cover the rounding of the
+    lattice recursion that computes f(t_j).  Raises ConvergenceError,
+    with the value of least bound and that bound, if no level up to
+    max_depth meets epsilon.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -265,29 +333,25 @@ def reconstruct_point(
     tf = float(t)
     if not math.isfinite(tf):
         raise ValueError("t must be finite")
-    from .verify import modulus_probe  # deferred: verify imports this module
-
-    M = max(1.0, float(math.ceil(abs(tf))) + 1.0)
-    box = ((-M, M), (-M, M))
+    if not isinstance(solver.F, FuncSpec):
+        raise ValueError(
+            "a float target needs F as a FuncSpec, whose enclosures certify the "
+            "limit; pass an int or Fraction target for another callable"
+        )
+    exact = Fraction(tf)
     best: float | None = None
     bound = math.inf
     for level in range(1, max_depth + 1):
         q = _dyadic_round(tf, level)
         val = solver.f_value(q, engine="dyadic")
-        gap = abs(tf - float(q))
-        if gap == 0.0:
+        d = exact - q
+        if d == 0:
             return val
-        exp = math.frexp(gap)[1]  # smallest power of two >= gap
-        cache_key = (M, exp)
-        omega = solver._omega.get(cache_key)
-        if omega is None:
-            omega = modulus_probe(F, math.ldexp(1.0, exp), box)
-            solver._omega[cache_key] = omega
-        bound = 3.0 * omega
-        if best is not None and bound <= epsilon and abs(val - best) <= epsilon:
-            refined = _dyadic_round(tf, level + 2)
-            return solver.f_value(refined, engine="dyadic")
-        best = val
+        level_bound = solver._limit_bound(q, d)
+        if level_bound <= epsilon:
+            return val
+        if best is None or level_bound <= bound:
+            best, bound = val, level_bound
     raise ConvergenceError(
         f"no convergence within {max_depth} levels (achieved bound {bound:.3g})",
         best=best,
@@ -403,6 +467,36 @@ class ReconstructedFunction:
                 row["t_exact"] = f"{num}/{den}"
             rows.append(row)
         return {"engine": self.engine, "normalization": self.normalization, "samples": rows}
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2) + "\\n"``, written
+        directly: with ``indent`` set, json runs its pure-Python encoder."""
+        norm = [f"    {json.dumps(k)}: {_json_float(v)}" for k, v in self.normalization.items()]
+        rows = []
+        for (num, den), dec, v in zip(self.keys.pairs, self._decimals(), self.values):
+            exact = "" if dec is not None else f',\n      "t_exact": "{num}/{den}"'
+            rows.append(
+                f'    {{\n      "t": {_json_float(num / den)},\n      "f": {_json_float(v)}{exact}\n    }}'
+            )
+        return (
+            f"{{\n  \"engine\": {json.dumps(self.engine)},\n"
+            f"  \"normalization\": {_json_block(norm, '{}')},\n"
+            f"  \"samples\": {_json_block(rows, '[]')}\n}}\n"
+        )
+
+
+def _json_float(v: float) -> str:
+    # as json.dumps writes a float
+    if math.isfinite(v):
+        return float.__repr__(v)
+    return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+
+
+def _json_block(items: list[str], brackets: str) -> str:
+    # a JSON object or array at depth 1 of indent=2 output, from its lines
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n  " + brackets[1]
 
 
 def reconstruct_table(

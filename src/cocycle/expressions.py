@@ -10,8 +10,10 @@ integer quotients (e.g. 1/3).
 evaluates at floats or numpy arrays.  ``cocycle_from_seed`` turns a seed
 into the bivariate F(x, y) = g(x+y) - g(x) - g(y).
 Each ``FuncSpec`` compiles its AST once, at construction, to Python
-source for a scalar and an array callable; the parser admits only
-whitelisted names, so that source holds only arithmetic and our helpers.
+source for a scalar, an array and an interval callable; the parser admits
+only whitelisted names, so that source holds only arithmetic and our
+helpers.  The interval callable behind ``FuncSpec.enclose`` bounds the
+function over a box with outward-rounded interval arithmetic.
 """
 
 from __future__ import annotations
@@ -268,16 +270,161 @@ def _per_value(scalar, array):
     return call
 
 
-# The only globals of compiled code: _s_<f> are the scalar functions, and
+# --- intervals ----------------------------------------------------------
+# Outward-rounded interval arithmetic over (lo, hi) float pairs (R. E.
+# Moore, Interval Analysis, 1966; S. M. Rump, Acta Numerica 19, 2010).
+# Each endpoint computed in floats moves one ulp outward, and a libm
+# result two, since math.exp and the others are not correctly rounded.
+# Rounding is monotone, so an enclosure holds both the real value and the
+# value the scalar callable computes at every point of the box.  Where an
+# operation leaves its domain on part of the box (a divisor interval that
+# holds 0; log, sqrt or ^ of a base that may be negative) or meets
+# inf - inf or 0 * inf, the enclosure is the whole line.
+
+_ENTIRE = (-math.inf, math.inf)
+
+
+def _outward(lo: float, hi: float) -> tuple[float, float]:
+    if lo != lo or hi != hi:  # NaN from inf - inf, 0 * inf or inf / inf
+        return _ENTIRE
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _libm(lo: float, hi: float) -> tuple[float, float]:
+    return _outward(*_outward(lo, hi))
+
+
+def _i_add(a, b):
+    return _outward(a[0] + b[0], a[1] + b[1])
+
+
+def _i_sub(a, b):
+    return _outward(a[0] - b[1], a[1] - b[0])
+
+
+def _i_neg(a):
+    return -a[1], -a[0]
+
+
+def _hull(p: tuple) -> tuple[float, float]:
+    if any(map(math.isnan, p)):
+        return _ENTIRE
+    return _outward(min(p), max(p))
+
+
+def _i_mul(a, b):
+    return _hull((a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]))
+
+
+def _i_div(a, b):
+    if b[0] <= 0.0 <= b[1]:
+        return _ENTIRE
+    return _hull((a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]))
+
+
+def _i_pow(a, b):
+    # math.pow is monotone in each argument on the boxes admitted here
+    # (an integer exponent on a base of one sign, or a base >= 0), so its
+    # extremes lie at the corners, and at 0 for an even power of a base
+    # that holds 0
+    (al, ah), (bl, bh) = a, b
+    integral = bl == bh and bl.is_integer()
+    if integral:
+        if bl < 0 and al <= 0.0 <= ah:
+            return _ENTIRE
+        corners = ((al, bl), (ah, bl))
+    elif al < 0.0 or (al == 0.0 and bl < 0.0):
+        return _ENTIRE
+    else:
+        corners = ((al, bl), (al, bh), (ah, bl), (ah, bh))
+    try:
+        vals = [math.pow(x, y) for x, y in corners]
+    except (OverflowError, ValueError):
+        return _ENTIRE
+    lo, hi = _libm(min(vals), max(vals))
+    if integral and bl % 2 == 0:  # an even power is >= 0
+        lo = 0.0 if al < 0.0 < ah else max(lo, 0.0)
+    return lo, hi
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _i_exp(a):
+    return _libm(_exp(a[0]), _exp(a[1]))
+
+
+def _i_log(a):
+    if a[0] <= 0.0:
+        return _ENTIRE
+    return _libm(math.log(a[0]), math.log(a[1]))
+
+
+def _i_sqrt(a):
+    if a[0] < 0.0:
+        return _ENTIRE
+    lo, hi = _libm(math.sqrt(a[0]), math.sqrt(a[1]))
+    return max(lo, 0.0), hi
+
+
+def _i_abs(a):
+    lo, hi = a
+    if lo >= 0.0:
+        return a
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def _may_hit(lo: float, hi: float, phase: float) -> bool:
+    """Whether (phase + 2k) * pi may lie in [lo, hi] for an integer k.  The
+    slack covers the rounding of lo / pi, so a miss is certain."""
+    slack = 1e-15 * (abs(lo) + abs(hi) + 4.0)
+    return math.ceil((lo / math.pi - phase) / 2 - slack) <= math.floor((hi / math.pi - phase) / 2 + slack)
+
+
+def _trig(a, fn, peak: float):
+    # fn has its maxima at (peak + 2k) * pi and its minima at (peak + 1 + 2k) * pi
+    lo, hi = a
+    if not hi - lo < 6.0:  # a full period, or unbounded
+        return -1.0, 1.0
+    ends = (fn(lo), fn(hi))
+    lo_v, hi_v = _libm(min(ends), max(ends))
+    return (
+        -1.0 if _may_hit(lo, hi, peak + 1.0) else max(lo_v, -1.0),
+        1.0 if _may_hit(lo, hi, peak) else min(hi_v, 1.0),
+    )
+
+
+def _i_sin(a):
+    return _trig(a, math.sin, 0.5)
+
+
+def _i_cos(a):
+    return _trig(a, math.cos, 0.0)
+
+
+_INTERVAL = {
+    "add": _i_add, "sub": _i_sub, "mul": _i_mul, "div": _i_div, "pow": _i_pow, "neg": _i_neg,
+    "exp": _i_exp, "log": _i_log, "sin": _i_sin, "cos": _i_cos, "abs": _i_abs, "sqrt": _i_sqrt,
+}
+
+# The only globals of compiled code: _s_<f> are the scalar functions,
 # _a_<f> take numpy's on an ndarray and the scalar one otherwise, so a
 # scalar value inside an array call (a constant, or the x of F(x, ys)) is
-# computed exactly as in a scalar call.
+# computed exactly as in a scalar call, and _i_<f> are the interval ones.
 _TABLE = {**_FUNCS, "pow": (math.pow, operator.pow)}
 _GLOBALS = {
     "_errstate": np.errstate,
     **{f"_s_{name}": s for name, (s, _) in _TABLE.items()},
     **{f"_a_{name}": _per_value(s, a) for name, (s, a) in _TABLE.items()},
+    **{f"_i_{name}": fn for name, fn in _INTERVAL.items()},
 }
+_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
 def _literal(value) -> str:
@@ -289,23 +436,26 @@ def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
     """Python source for ``node``, calling the ``prefix`` functions, and
     its precedence.  Python groups + - * / and unary minus as our grammar
     does, so parentheses go only where precedence needs them, and a long
-    sum stays flat; '^' becomes a call."""
+    sum stays flat; '^' becomes a call.  With the interval prefix every
+    operation is a call and a constant c is the pair (c, c)."""
     atom = _PREC["atom"]
-    if isinstance(node, Num):
-        return _literal(node.value), atom
-    if isinstance(node, Const):
-        return _literal(_CONSTANTS[node.name]), atom
+    interval = prefix == "_i_"
+    if isinstance(node, (Num, Const)):
+        lit = _literal(node.value if isinstance(node, Num) else _CONSTANTS[node.name])
+        return (f"({lit}, {lit})" if interval else lit), atom
     if isinstance(node, Var):
         return names[node.name], atom
     if isinstance(node, Unary):
         src, p = _lower(node.operand, names, prefix)
+        if interval:
+            return f"_i_neg({src})", atom
         return (f"-{src}" if p >= _PREC["neg"] else f"-({src})"), _PREC["neg"]
     if isinstance(node, Call) and node.func in _FUNCS:
         return f"{prefix}{node.func}({_lower(node.arg, names, prefix)[0]})", atom
-    if isinstance(node, Bin) and node.op in ("+", "-", "*", "/", "^"):
+    if isinstance(node, Bin) and node.op in _OP_NAMES:
         (a, pa), (b, pb) = (_lower(n, names, prefix) for n in (node.left, node.right))
-        if node.op == "^":
-            return f"{prefix}pow({a}, {b})", atom
+        if node.op == "^" or interval:
+            return f"{prefix}{_OP_NAMES[node.op]}({a}, {b})", atom
         p = _PREC[node.op]
         a = a if pa >= p else f"({a})"
         b = b if pb > p else f"({b})"  # left associative
@@ -314,19 +464,23 @@ def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
 
 
 def _compile(node: Expr, variables: tuple[str, ...], kernel: bool = False):
-    """Scalar and array callables for ``node`` over ``variables``.
+    """Scalar, array and interval callables for ``node`` over ``variables``.
 
-    With ``kernel``, ``node`` is a seed g over one variable and both take
+    With ``kernel``, ``node`` is a seed g over one variable and all take
     (x, y) and return g(x+y) - (g(x) + g(y)); that grouping keeps the
     result bitwise symmetric in (x, y).
     """
-    pair = []
-    for prefix in ("_s_", "_a_"):
+    compiled = []
+    for prefix in ("_s_", "_a_", "_i_"):
         if kernel:
             (t,) = variables
             s, gx, gy = (_lower(node, {t: v}, prefix)[0] for v in ("s", "x", "y"))
             # rebinding s frees the array x + y before g(x) and g(y) are built
-            params, body = ["x", "y"], f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
+            if prefix == "_i_":
+                body = f"s = _i_add(x, y); s = {s}; return _i_sub(s, _i_add({gx}, {gy}))"
+            else:
+                body = f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
+            params = ["x", "y"]
         else:
             params = [f"v{i}" for i in range(len(variables))]
             body = f"return {_lower(node, dict(zip(variables, params)), prefix)[0]}"
@@ -334,8 +488,8 @@ def _compile(node: Expr, variables: tuple[str, ...], kernel: bool = False):
             body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
         scope: dict = {}
         exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
-        pair.append(scope["fn"])
-    return tuple(pair)
+        compiled.append(scope["fn"])
+    return tuple(compiled)
 
 
 @functools.lru_cache(maxsize=256)
@@ -392,7 +546,7 @@ class FuncSpec:
         and numpy errors and non-finite results become EvaluationError."""
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
-        scalar, array = self._compiled
+        scalar, array, _ = self._compiled
         fn = scalar
         for a in args:
             if type(a) is not float:  # convert, or take the array variant
@@ -407,6 +561,15 @@ class FuncSpec:
         if not (math.isfinite(out) if fn is scalar else np.all(np.isfinite(out))):
             raise EvaluationError("non-finite result")
         return out
+
+    def enclose(self, *box: tuple[float, float]) -> tuple[float, float]:
+        """An interval (lo, hi) that holds F or g at every point of ``box``,
+        one (lo, hi) float pair per variable, in real arithmetic and as the
+        scalar call computes it.  It is (-inf, inf) where an operation may
+        leave its domain in the box; it never raises."""
+        if len(box) != self.arity:
+            raise TypeError(f"expected {self.arity} intervals, got {len(box)}")
+        return self._compiled[2](*((float(lo), float(hi)) for lo, hi in box))
 
 
 def bivariate_expression(src: str, variables: tuple[str, str] = ("x", "y")) -> FuncSpec:

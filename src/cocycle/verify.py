@@ -249,9 +249,13 @@ def modulus_probe(fn, delta: float, domain) -> float:
     distance exactly delta from a lattice of _PROBE_ANCHORS points per
     axis, probed along the axes and diagonals.
 
-    Unlike ``modulus_estimate`` the cost is independent of delta, so this
-    serves the small-delta regime where a full grid is unaffordable.  A
-    sampled value that is not finite raises EvaluationError.
+    It is a lower estimate only, and a loose one: the anchors can alias
+    with a periodic fn and see almost none of its variation, so it must
+    never stand in for an upper bound.  ``check_bound_c0`` uses it where
+    the grid is unaffordable, on the right-hand side of |h(delta)| <=
+    2 * omega, where reading low can only fail a check, never pass a false
+    one.  The cost is independent of delta.  A sampled value that is not
+    finite raises EvaluationError.
     """
     delta = float(delta)
     if delta <= 0:

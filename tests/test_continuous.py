@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SEEDS, oracle_solution, seed_kernel
@@ -17,11 +19,14 @@ from cocycle import (
     EvaluationError,
     LatticeSolver,
     bivariate_expression,
+    cocycle_from_seed,
     euclid_chain,
     grid_keys,
     h_rational,
     reconstruct_point,
+    reconstruct_ck_table,
     reconstruct_table,
+    seed_expression,
 )
 from cocycle.expressions import _sample
 
@@ -84,8 +89,11 @@ class ReferenceSolver:
             return -self.h(-r, engine) - self.H(-r, r)
         if r >= 1:
             k = math.floor(r)
-            if r == k:
-                return math.fsum(self.H(Fraction(1), Fraction(i)) for i in range(1, k))
+            if r == k:  # h(2m) = 2h(m) + H(m, m), h(2m + 1) = h(2m) + H(1, 2m)
+                m = Fraction(k // 2)
+                if k % 2:
+                    return self.h(2 * m, engine) + self.H(Fraction(1), 2 * m)
+                return 2.0 * self.h(m, engine) + self.H(m, m)
             return self.h(Fraction(k), engine) + self.h(r - k, engine) + self.H(Fraction(k), r - k)
         if r == half:
             return -self.H(half, half) / 2.0
@@ -352,6 +360,107 @@ class TestReconstructPoint:
         got = reconstruct_point(F, t, epsilon=1e-4)
         assert got == pytest.approx(oracle(t), abs=1e-4)
 
+    def test_cusp_meets_epsilon(self):
+        # the kernel's modulus is largest at the cusp, next to the target;
+        # a box-wide lower estimate of it missed epsilon here by 78x
+        g = seed_expression("sqrt(abs(t - 3/10))")
+        t = 0.3 + 1e-9
+        got = reconstruct_point(cocycle_from_seed(g), t, epsilon=1e-6)
+        want = math.sqrt(abs(t - 0.3)) - (math.sqrt(0.7) - math.sqrt(0.3)) * t
+        assert abs(got - want) <= 1e-6
+
+    @pytest.mark.parametrize("t", [199.4566413018294, 1707.6281, -3215.6281, 4924.6281])
+    def test_sine_targets_that_alias_a_sparse_probe(self, t):
+        got = reconstruct_point(seed_kernel("sine"), t, epsilon=1e-6)
+        assert abs(got - oracle_solution("sine")(t)) <= 1e-6
+
+    @pytest.mark.parametrize("name", ALL_SEEDS)
+    def test_seed_oracles_near_origin(self, name):
+        F, oracle = seed_kernel(name), oracle_solution(name)
+        solver = LatticeSolver(F)
+        for t in (-3.9063, -2.718281828, -1.1, -0.25 - 1e-12, 1e-7, 0.6180339887, 1.9999, 3.14159):
+            assert abs(reconstruct_point(F, t, epsilon=1e-6, solver=solver) - oracle(t)) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["square", "cube", "sine", "hoelder"])
+    def test_seed_oracles_far_out(self, name):
+        F, oracle = seed_kernel(name), oracle_solution(name)
+        for t in (-1013.4271, 998.0000001, 1234.5678):
+            assert abs(reconstruct_point(F, t, epsilon=1e-6) - oracle(t)) <= 1e-6
+
+    def test_expo_far_out_is_not_evaluable(self):
+        # h(1000) needs e^1000, which overflows a float
+        with pytest.raises(EvaluationError):
+            reconstruct_point(seed_kernel("expo"), 1000.5, epsilon=1e-6)
+
+    @pytest.mark.parametrize("name", ALL_SEEDS)
+    def test_convergence_error_when_max_depth_is_too_small(self, name):
+        t = 0.7071067811865476
+        with pytest.raises(ConvergenceError) as exc:
+            reconstruct_point(seed_kernel(name), t, epsilon=1e-6, max_depth=12)
+        assert 1e-6 < exc.value.bound < math.inf
+        # the bound is certified: it holds for the value it comes with
+        assert abs(exc.value.best - oracle_solution(name)(t)) <= exc.value.bound
+
+    @given(st.sampled_from(ALL_SEEDS), st.floats(-4, 4), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_level_bound_holds(self, name, t, level):
+        # |f(t) - f(t_j)| <= bound at every level, not only where it stops;
+        # 1e-9 covers the rounding of the lattice and of the oracle
+        solver = LatticeSolver(seed_kernel(name))
+        q = continuous._dyadic_round(t, level)
+        d = Fraction(t) - q
+        assume(d != 0)
+        oracle = oracle_solution(name)
+        assert abs(oracle(t) - solver.f_value(q, "dyadic")) <= solver._limit_bound(q, d) + 1e-9
+
+    def test_opaque_callable_needs_exact_target(self):
+        opaque = lambda x, y: 2.0 * x * y  # noqa: E731
+        with pytest.raises(ValueError, match="FuncSpec"):
+            reconstruct_point(opaque, math.sqrt(2))
+        assert reconstruct_point(opaque, Fraction(1, 3)) == reconstruct_point(F_BILINEAR, Fraction(1, 3))
+        assert reconstruct_point(opaque, 2) == reconstruct_point(F_BILINEAR, 2)
+
+    def test_no_probe_calls(self, monkeypatch):
+        from cocycle import verify
+
+        def refuse(*args):
+            raise AssertionError("modulus_probe called")
+
+        monkeypatch.setattr(verify, "modulus_probe", refuse)
+        got = reconstruct_point(seed_kernel("sine"), 0.3, epsilon=1e-6)
+        assert abs(got - oracle_solution("sine")(0.3)) <= 1e-6
+        assert not hasattr(LatticeSolver(F_BILINEAR), "_omega")
+
+
+class TestIntegerPart:
+    @pytest.mark.parametrize("k", [10**9, 10**9 + 7, 2**30 - 1])
+    def test_square_and_cube_at_a_billion(self, k):
+        # closed forms h(k) = k^2 - k and k^3 - k, compared exactly
+        for name, want in (("square", k * k - k), ("cube", k**3 - k)):
+            got = LatticeSolver(seed_kernel(name)).h(Fraction(k))
+            assert abs(Fraction(got) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("name", ["sine", "hoelder"])
+    def test_other_seeds_at_a_billion(self, name):
+        k = 10**9 + 7
+        got = LatticeSolver(seed_kernel(name)).f_value(Fraction(k))
+        assert got == pytest.approx(oracle_solution(name)(k), rel=1e-14)
+
+    def test_square_is_exact_below_2_to_the_26(self):
+        solver = LatticeSolver(seed_kernel("square"))
+        for k in [2, 3, 4, 5, 1000, 4_000_001, 2**26 - 1]:
+            assert solver.h(Fraction(k)) == k * k - k
+
+    @given(st.sampled_from(["2*x*y", "cube", "hoelder", "sine"]), st.integers(2, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_doubling_identities(self, name, k):
+        solver = LatticeSolver(KERNELS[name])
+        h = lambda n: solver.h(Fraction(n))  # noqa: E731
+        if k % 2:
+            assert h(k) == h(k - 1) + solver.H(Fraction(1), Fraction(k - 1))
+        else:
+            assert h(k) == 2.0 * h(k // 2) + solver.H(Fraction(k // 2), Fraction(k // 2))
+
 
 class TestGridKeys:
     def test_denominator_grid(self):
@@ -512,6 +621,32 @@ class TestTables:
         first = dict(solver._H)
         reconstruct_table(F_BILINEAR, grid_keys((0, 1), denominators=8), solver=solver)
         assert dict(solver._H) == first  # second pass hits the cache
+
+
+class TestJson:
+    def _assert_same_as_json_dumps(self, table):
+        assert table.to_json_text() == json.dumps(table.to_json_obj(), indent=2) + "\n"
+
+    @given(st.lists(st.fractions(-50, 50, max_denominator=4000), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_tables(self, keys):
+        self._assert_same_as_json_dumps(reconstruct_table(F_EXPO, keys))
+
+    def test_ck_table(self):
+        self._assert_same_as_json_dumps(reconstruct_ck_table(F_EXPO, grid_keys((-1, 1), dyadic_level=4)))
+
+    def test_non_finite_values_and_quoted_names(self):
+        table = continuous.ReconstructedFunction(
+            continuous.KeyGrid([(-1, 3), (1, 2), (7, 1)]), [math.inf, math.nan, -math.inf],
+            engine='a"b', normalization={"f'(0)": -0.0, 'q"': 1e300},
+        )
+        self._assert_same_as_json_dumps(table)
+
+    def test_golden(self):
+        keys = grid_keys((-1.5, 2.25), dyadic_level=5)
+        table = reconstruct_table(seed_kernel("sine"), keys, engine="dyadic")
+        golden = Path(__file__).resolve().parent / "data" / "reconstruct_sine_dyadic5.json"
+        assert table.to_json_text() == golden.read_text(encoding="utf-8")
 
 
 class TestCsv:

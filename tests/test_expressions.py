@@ -442,3 +442,87 @@ class TestCocycleBuilder:
         out = F(1.0, ys)
         want = (1.0 + ys) ** 2 - 1.0 - ys**2
         assert np.allclose(out, want, rtol=0, atol=1e-15)
+
+
+# --- interval enclosures ---------------------------------------------------
+
+unit = st.floats(0, 1)
+
+
+@st.composite
+def boxes_and_points(draw, arity):
+    """A box of (lo, hi) pairs and a point inside it."""
+    box, point = [], []
+    for _ in range(arity):
+        a, b = sorted((draw(finite_floats), draw(finite_floats)))
+        if draw(st.booleans()):  # thin boxes too, down to a single point
+            b = min(b, a + draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3])))
+        box.append((a, b))
+        point.append(min(max(a + draw(unit) * (b - a), a), b))
+    return box, point
+
+
+def assert_encloses(F, box, point):
+    lo, hi = F.enclose(*box)  # never raises, whatever the box
+    assert not (math.isnan(lo) or math.isnan(hi)) and lo <= hi
+    value = outcome(F, *point)
+    if value is not EvaluationError:
+        assert lo <= value <= hi
+
+
+class TestEnclosure:
+    @given(exprs(["x", "y"]), boxes_and_points(2))
+    @settings(max_examples=500, deadline=None)
+    def test_contains_scalar_value(self, node, box_point):
+        assert_encloses(FuncSpec(arity=2, ast=node, variables=("x", "y")), *box_point)
+
+    @given(exprs(["t"]), boxes_and_points(2))
+    @settings(max_examples=300, deadline=None)
+    def test_seed_kernel_contains_scalar_value(self, seed, box_point):
+        assert_encloses(cocycle_from_seed(FuncSpec(arity=1, ast=seed, variables=("t",))), *box_point)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SEEDS))
+    @given(boxes_and_points(2))
+    @settings(max_examples=60, deadline=None)
+    def test_builtin_kernels(self, name, box_point):
+        assert_encloses(cocycle_from_seed(builtin_seed(name)), *box_point)
+
+    @pytest.mark.parametrize(
+        "src,box,want",
+        [
+            ("sin(x)", (1.0, 2.0), (None, 1.0)),  # pi/2 inside
+            ("cos(x)", (3.0, 3.5), (-1.0, None)),  # pi inside
+            ("sin(x)", (-100.0, 100.0), (-1.0, 1.0)),
+            ("x^2", (-1.0, 2.0), (0.0, None)),  # even power across 0
+            ("abs(x)", (-3.0, 2.0), (0.0, 3.0)),
+        ],
+    )
+    def test_extrema(self, src, box, want):
+        lo, hi = bivariate_expression(src).enclose(box, (0.0, 0.0))
+        assert want[0] is None or lo == want[0]
+        assert want[1] is None or hi == want[1]
+
+    @pytest.mark.parametrize(
+        "src,box",
+        [
+            ("1/x", (-1.0, 1.0)),  # divisor holds 0
+            ("1/x", (0.0, 1.0)),
+            ("log(x)", (-1.0, 2.0)),  # partly outside the domain
+            ("sqrt(x)", (-1e-9, 1.0)),
+            ("x^0.5", (-1.0, 1.0)),
+            ("x^(-1)", (-1.0, 1.0)),
+            ("exp(x) - exp(x)", (1e300, 1e300)),  # inf - inf
+        ],
+    )
+    def test_domain_problem_is_unbounded(self, src, box):
+        assert bivariate_expression(src).enclose(box, (0.0, 0.0)) == (-math.inf, math.inf)
+
+    def test_point_box_is_tight(self):
+        F = cocycle_from_seed(builtin_seed("expo"))
+        lo, hi = F.enclose((0.3, 0.3), (0.7, 0.7))
+        assert lo <= F(0.3, 0.7) <= hi
+        assert hi - lo <= 64 * math.ulp(F(0.3, 0.7))
+
+    def test_arity(self):
+        with pytest.raises(TypeError):
+            bivariate_expression("x + y").enclose((0.0, 1.0))
