@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .continuous import (
+    ENGINES,
     ConvergenceError,
     LatticeSolver,
     grid_keys,
@@ -34,7 +35,6 @@ from .expressions import (
     FuncSpec,
     ParseError,
     bivariate_expression,
-    builtin_seed,
     cocycle_from_seed,
     seed_expression,
 )
@@ -47,7 +47,7 @@ from .verify import (
     symmetry_residual,
 )
 
-_ENGINE_CHOICES = ("euclid-chain", "dyadic", "ck")
+_ENGINE_CHOICES = (*ENGINES, "ck")
 
 
 def _cast_interval(text: str) -> tuple[float, float]:
@@ -120,8 +120,7 @@ class RunConfig:
         if self.seed is not None:
             if self.vars is not None and self.vars.strip() != "t":
                 raise ValueError("--vars applies to --expr; seeds are in t")
-            g = builtin_seed(self.seed) if self.seed in BUILTIN_SEEDS else seed_expression(self.seed)
-            return cocycle_from_seed(g)
+            return cocycle_from_seed(seed_expression(BUILTIN_SEEDS.get(self.seed, self.seed)))
         names = tuple(s.strip() for s in (self.vars or "x,y").split(","))
         if len(names) != 2 or not all(names):
             raise ValueError("--vars must name two comma-separated variables")
@@ -170,26 +169,18 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
     # a config file's vars belong to its own function, not to a CLI --seed
     cfg.vars = args.vars if getattr(args, "seed", None) is not None else pick("vars", None)
-    cfg.out = pick("out", cfg.out)
-    cfg.format = pick("format", cfg.format)
-    cfg.engine = pick("engine", cfg.engine)
-    cfg.box = pick("box", cfg.box)
-    cfg.tolerance = pick("tolerance", cfg.tolerance)
-    cfg.samples = pick("samples", cfg.samples)
-    cfg.rng_seed = pick("rng_seed", cfg.rng_seed)
-    cfg.denominators = pick("denominators", None)
-    cfg.dyadic_level = pick("dyadic_level", None)
-    interval = pick("interval", None)
-    cfg.interval = tuple(interval) if interval is not None else None
+    for name in ("out", "format", "engine", "box", "tolerance", "samples", "rng_seed",
+                 "denominators", "dyadic_level", "interval"):
+        setattr(cfg, name, pick(name, getattr(cfg, name)))
+    if cfg.interval is not None:
+        cfg.interval = tuple(cfg.interval)
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
     if not math.isfinite(cfg.box):
         raise ValueError(f"--box must be finite, got {cfg.box}")
     if cfg.interval is not None and not all(map(math.isfinite, cfg.interval)):
         raise ValueError(f"--interval endpoints must be finite, got {cfg.interval}")
-    deltas = getattr(args, "delta", None)
-    if deltas:
-        cfg.deltas = [d for group in deltas for d in (group if isinstance(group, list) else [group])]
-    elif "delta" in config:
-        cfg.deltas = list(config["delta"])
+    cfg.deltas = list(getattr(args, "delta", None) or config.get("delta", ()))
     return cfg
 
 
@@ -204,6 +195,13 @@ def _write_text(out: str | None, text: str) -> None:
 def _emit_report(cfg: RunConfig, report: VerificationReport) -> int:
     _write_text(cfg.out, report.to_ndjson())
     return 0 if report.passed else 1
+
+
+def _table(cfg: RunConfig, F, keys):
+    """The sample table of f on ``keys`` from the configured engine."""
+    if cfg.engine == "ck":
+        return reconstruct_ck_table(F, keys, tol=cfg.tolerance)
+    return reconstruct_table(F, keys, engine=cfg.engine)
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -232,10 +230,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> int:
         denominators=cfg.denominators,
         dyadic_level=cfg.dyadic_level,
     )
-    if cfg.engine == "ck":
-        table = reconstruct_ck_table(F, keys, tol=cfg.tolerance)
-    else:
-        table = reconstruct_table(F, keys, engine=cfg.engine)
+    table = _table(cfg, F, keys)
     if cfg.format == "json":
         _write_text(cfg.out, table.to_json_text())
     else:
@@ -258,11 +253,7 @@ def _cmd_verify_bound(cfg: RunConfig) -> int:
         keys = grid_keys((-M, M), dyadic_level=(den - 1).bit_length())
     else:
         keys = grid_keys((-M, M), denominators=den)
-    if cfg.engine == "ck":
-        table = reconstruct_ck_table(F, keys, tol=cfg.tolerance)
-    else:
-        table = reconstruct_table(F, keys, engine=cfg.engine)
-    report = check_bound_c0(F, table, cfg.deltas, M, tolerance=cfg.tolerance)
+    report = check_bound_c0(F, _table(cfg, F, keys), cfg.deltas, M, tolerance=cfg.tolerance)
     return _emit_report(cfg, report)
 
 
@@ -319,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", help="key=value settings file; explicit flags win")
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--tolerance", type=float, help="check tolerance (default 1e-9)")
-    common.add_argument("--rng-seed", type=int, dest="rng_seed", help="sampling seed (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="cocycle",
@@ -329,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", parents=[common], help="residual checks on random samples")
+    p_check.add_argument("--rng-seed", type=int, dest="rng_seed", help="sampling seed (default 0)")
     p_check.add_argument("--samples", type=int, help="sample count (default 1000)")
     p_check.add_argument("--box", type=float, help="sampling half-width (default 2)")
 
@@ -359,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default twice the largest delta denominator)",
     )
     p_bound.add_argument("--engine", choices=_ENGINE_CHOICES)
+    for p in (p_check, p_rec, p_bound):
+        p.add_argument("--tolerance", type=float, help="check/quadrature tolerance (default 1e-9)")
 
-    p_bench = sub.add_parser("bench", parents=[common], help="lattice solver timings")
-    del p_bench
+    sub.add_parser("bench", parents=[common], help="lattice solver timings")
 
     return parser
 

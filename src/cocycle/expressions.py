@@ -111,6 +111,7 @@ _FUNCS = {  # name: (scalar, array) implementation
 # --- tokenizer and parser --------------------------------------------
 
 _OPS = set("+-*/^(),")
+_DIGITS = set("0123456789")  # str.isdigit would also take "²" and other digits
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -127,21 +128,21 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             if j < n and src[j] == ".":
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k] in _DIGITS:
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j] in _DIGITS:
                         j += 1
             tokens.append(("num", src[i:j], i))
             i = j
@@ -590,8 +591,7 @@ def builtin_seed(name: str) -> FuncSpec:
         src = BUILTIN_SEEDS[name]
     except KeyError:
         raise ValueError(f"unknown builtin seed {name!r}") from None
-    ast = parse_expr(src, ("t",))
-    return FuncSpec(arity=1, ast=ast, variables=("t",))
+    return seed_expression(src)
 
 
 def cocycle_from_seed(g: FuncSpec) -> FuncSpec:

@@ -8,25 +8,19 @@ opposite (h1 = -h2) and dF/dl(0, 0) = 0, which gives the reconstruction
 
     f(t) = -sqrt(2) * integral_0^t h1(z) dz - F(0, 0)
 
-normalized by f(0) = -F(0, 0) and f'(0) = 0.  Derivatives are central
-differences (optionally one Richardson level); integrals use adaptive
+normalized by f(0) = -F(0, 0) and f'(0) = 0.  The derivative is a
+central difference with one Richardson level; integrals use adaptive
 Simpson quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .continuous import KeyGrid, ReconstructedFunction
 
 __all__ = [
     "QuadratureError",
-    "DerivativeProfile",
-    "directional_derivative",
-    "derivative_profile",
-    "antiderivative",
     "reconstruct_ck_point",
     "reconstruct_ck_table",
 ]
@@ -48,50 +42,16 @@ class QuadratureError(Exception):
         self.error = error
 
 
-def directional_derivative(
-    F,
-    point: tuple[float, float],
-    step: float | None = None,
-    richardson: bool = False,
-) -> float:
-    """Central-difference derivative of F at ``point`` along
-    (1/sqrt(2), -1/sqrt(2)); one optional Richardson extrapolation level."""
-    px, py = float(point[0]), float(point[1])
-    if step is None:
-        step = _STEP_SCALE * max(1.0, abs(px), abs(py))
-    if step <= 0:
-        raise ValueError("step must be positive")
+def _dl(F, x: float, y: float) -> float:
+    """dF/dl at (x, y): a central difference at a step scaled by
+    max(1, |x|, |y|), with one Richardson extrapolation level."""
+    step = _STEP_SCALE * max(1.0, abs(x), abs(y))
 
     def central(s: float) -> float:
-        dx, dy = s * _INV_SQRT2, -s * _INV_SQRT2
-        return (F(px + dx, py + dy) - F(px - dx, py - dy)) / (2.0 * s)
+        d = s * _INV_SQRT2
+        return (F(x + d, y - d) - F(x - d, y + d)) / (2.0 * s)
 
-    d = central(step)
-    if richardson:
-        d = (4.0 * central(step / 2.0) - d) / 3.0
-    return d
-
-
-@dataclass(frozen=True)
-class DerivativeProfile:
-    """The two univariate parts of dF/dl; h2(0) = 0 by construction."""
-
-    h1: Callable[[float], float]
-    h2: Callable[[float], float]
-    step: float
-
-
-def derivative_profile(F, step: float | None = None, richardson: bool = True) -> DerivativeProfile:
-    """Split dF/dl(x, y) = h1(x) + h2(y) into its univariate parts."""
-    base = directional_derivative(F, (0.0, 0.0), step, richardson)
-
-    def h1(x: float) -> float:
-        return directional_derivative(F, (x, 0.0), step, richardson)
-
-    def h2(y: float) -> float:
-        return directional_derivative(F, (0.0, y), step, richardson) - base
-
-    return DerivativeProfile(h1=h1, h2=h2, step=step if step is not None else _STEP_SCALE)
+    return (4.0 * central(step / 2.0) - central(step)) / 3.0
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -123,8 +83,12 @@ def _adaptive(
     )
 
 
-def _integrate(fn, a: float, b: float, tol: float, max_depth: int) -> float:
-    """Integral of fn over [a, b], a <= b, by adaptive Simpson quadrature."""
+def _integrate(fn, a: float, b: float, tol: float, max_depth: int = 50) -> float:
+    """Integral of fn over [a, b], a <= b, by adaptive Simpson quadrature.
+
+    Raises QuadratureError (with the achieved estimate) if the error
+    cannot be brought under ``tol`` within ``max_depth`` splits.
+    """
     if a == b:
         return 0.0
     fa, fb = fn(a), fn(b)
@@ -134,35 +98,23 @@ def _integrate(fn, a: float, b: float, tol: float, max_depth: int) -> float:
     return _adaptive(fn, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def antiderivative(h, x: float, tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Integral of h from 0 to x by adaptive Simpson quadrature.
-
-    Raises QuadratureError (with the achieved estimate) if the error
-    cannot be brought under ``tol`` within ``max_depth`` splits.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = float(x)
-    if x < 0:
-        return -_integrate(h, x, 0.0, tol, max_depth)
-    return _integrate(h, 0.0, x, tol, max_depth)
-
-
 def reconstruct_ck_point(F, t, tol: float = 1e-9) -> float:
-    """Reconstructed value f(t) = -sqrt(2) * integral_0^t h1 - F(0, 0)."""
-    profile = derivative_profile(F)
-    integral = antiderivative(profile.h1, float(t), tol)
-    return -_SQRT2 * integral - float(F(0.0, 0.0))
+    """Reconstructed value f(t) = -sqrt(2) * integral_0^t h1 - F(0, 0):
+    the one-key table of ``reconstruct_ck_table``."""
+    return reconstruct_ck_table(F, [t], tol).values[0]
 
 
 def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
     """Reconstruct f at the given keys through the derivative route.
 
-    The integral is accumulated segment by segment between consecutive
-    keys, outward from 0 on each side, so a grid costs one quadrature per
-    gap.
+    The integral of h1(x) = dF/dl(x, 0) is accumulated segment by segment
+    between consecutive keys, outward from 0 on each side, so a grid costs
+    one quadrature per gap.
     """
-    profile = derivative_profile(F)
+
+    def h1(x: float) -> float:
+        return _dl(F, x, 0.0)
+
     f00 = float(F(0.0, 0.0))
     grid = KeyGrid.of(keys)
     xs = [num / den for num, den in grid.pairs]
@@ -170,11 +122,11 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
     integral = [0.0] * len(xs)
     acc, prev = 0.0, 0.0
     for i in range(split, len(xs)):
-        acc += _integrate(profile.h1, prev, xs[i], tol, 50)
+        acc += _integrate(h1, prev, xs[i], tol)
         integral[i], prev = acc, xs[i]
     acc, prev = 0.0, 0.0
     for i in range(split - 1, -1, -1):
-        acc -= _integrate(profile.h1, xs[i], prev, tol, 50)
+        acc -= _integrate(h1, xs[i], prev, tol)
         integral[i], prev = acc, xs[i]
     return ReconstructedFunction(
         keys=grid,

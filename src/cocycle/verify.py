@@ -47,8 +47,14 @@ _GRID_AXIS_LIMIT = 1024
 # Points per axis of the probe's anchor lattice.
 _PROBE_ANCHORS = 33
 
-# check_bound_c0 evaluates its kernel grid in blocks of about this many points.
+# Kernel grids are evaluated in blocks of rows of about this many points.
 _BLOCK_POINTS = 1 << 16
+
+# check_bound_c0 refuses a kernel grid of more cells than this (64 MiB per
+# float64 buffer; the window maxima hold three), or whose window maxima
+# would take more cell passes than this, summed over the deltas.
+_GRID_CELL_LIMIT = 1 << 23
+_WINDOW_WORK_LIMIT = 1 << 31
 
 
 def _jsonable(value):
@@ -183,6 +189,22 @@ def _axis(a: float, b: float, step: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
+def _grid(fn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """fn on the grid xs x ys (indexed [i, j] = fn(xs[i], ys[j])), filled a
+    block of rows at a time into one preallocated array, so only a block's
+    worth of coordinates and temporaries is alive at once."""
+    vals = np.empty((len(xs), len(ys)))
+    rows = max(1, _BLOCK_POINTS // len(ys))
+    for i in range(0, len(xs), rows):
+        vals[i : i + rows] = _sample(fn, *np.meshgrid(xs[i : i + rows], ys, indexing="ij"))
+    return vals
+
+
+def _reach(delta: float, step: float, n: int) -> int:
+    """Grid offsets within delta along an axis of n points and spacing step."""
+    return min(int(math.floor(delta / step + 1e-9)), n - 1)
+
+
 def _widen(rm: np.ndarray) -> None:
     """Grow a running max along the last axis by one index on each side,
     in place: rm[..., j] becomes max(rm[..., j-1], rm[..., j], rm[..., j+1])."""
@@ -204,8 +226,7 @@ def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> floa
     exactly the pairwise maximum.
     """
     n0, n1 = vals.shape
-    imax = min(int(math.floor(delta / sx + 1e-9)), n0 - 1)
-    jmax = min(int(math.floor(delta / sy + 1e-9)), n1 - 1)
+    imax, jmax = _reach(delta, sx, n0), _reach(delta, sy, n1)
     d2 = delta * delta * (1.0 + 1e-12)
     dil = vals.copy()
     rm = vals.copy()
@@ -240,7 +261,7 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
     a, b, c, d = _box(domain)
     xs = _axis(a, b, grid_step)
     ys = _axis(c, d, grid_step)
-    vals = _sample(fn, *np.meshgrid(xs, ys, indexing="ij"))
+    vals = _grid(fn, xs, ys)
     return _window_max_2d(vals, float(xs[1] - xs[0]), float(ys[1] - ys[0]), delta)
 
 
@@ -324,20 +345,23 @@ def check_bound_c0(
     f_step = float(np.max(gaps))
     kernel_step = f_step / 4.0
     xs = _axis(-float(M), float(M), kernel_step)
-    # one preallocated grid, filled a block of rows at a time, so only a
-    # block's worth of coordinates and temporaries is alive at once
-    kernel_vals = np.empty((len(xs), len(xs)))
-    rows = max(1, _BLOCK_POINTS // len(xs))
-    for i in range(0, len(xs), rows):
-        kernel_vals[i : i + rows] = _sample(F, *np.meshgrid(xs[i : i + rows], xs, indexing="ij"))
     actual_step = float(xs[1] - xs[0])
-
-    f00 = float(F(0.0, 0.0))
-
-    def H(x, y):
-        return F(x, y) - f00
+    cells = len(xs) ** 2
+    # the window maxima make 2 * reach + 1 passes over the grid per delta
+    passes = sum(2 * _reach(float(d), actual_step, len(xs)) + 1 for d in ds)
+    if cells > _GRID_CELL_LIMIT or cells * passes > _WINDOW_WORK_LIMIT:
+        raise ValueError(
+            f"kernel grid too large: {cells} cells (limit {_GRID_CELL_LIMIT}) and "
+            f"{cells * passes} cell passes (limit {_WINDOW_WORK_LIMIT}); sample f more "
+            "coarsely or on a smaller [-M, M]"
+        )
+    kernel_vals = _grid(F, xs, xs)
 
     solver = LatticeSolver(F)
+
+    def H(x, y):
+        return F(x, y) - solver.F00
+
     unit_box = ((0.0, 1.0), (0.0, 1.0))
     results: list[CheckResult] = []
     for d in ds:

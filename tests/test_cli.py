@@ -180,6 +180,72 @@ class TestExitCodes:
         code, out, err = run_out(argv + ["--config", str(cfg)], capsys)
         assert (code, out) == (2, "") and "--box must be positive" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--expr", "x*y^2", "--samples", "10"],
+            ["check", "--seed", "sine", "--samples", "10"],
+            ["verify-bound", "--seed", "cube", "--delta", "1/8"],
+            ["reconstruct", "--seed", "square", "--interval", "0", "1", "--dyadic-level", "2",
+             "--engine", "ck"],
+        ],
+        ids=["check-skew", "check-sine", "verify-bound", "reconstruct-ck"],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, argv, value, tmp_path, capsys):
+        # inf passed every check, nan wrote a bare NaN token into the
+        # NDJSON, and -1 failed a zero residual
+        message = "error: --tolerance must be finite and >= 0"
+        code, out, err = run_out(argv + ["--tolerance", value], capsys)
+        assert (code, out) == (2, "") and err.startswith(message)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tolerance={value}\n", encoding="utf-8")
+        code, out, err = run_out(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == (2, "") and err.startswith(message)
+
+    def test_zero_tolerance_accepted(self, capsys):
+        argv = ["verify-bound", "--seed", "square", "--delta", "1/4", "--tolerance", "0"]
+        code, out, _ = run_out(argv, capsys)
+        assert code == 0
+        assert all(json.loads(line)["tolerance"] in (0.0, 1e-6) for line in out.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--seed", "square", "--interval", "0", "1", "--denominators", "2",
+             "--rng-seed", "3"],
+            ["verify-bound", "--seed", "square", "--delta", "1/4", "--rng-seed", "3"],
+            ["bench", "--seed", "square", "--rng-seed", "3"],
+            ["bench", "--seed", "square", "--tolerance", "1e-3"],
+        ],
+        ids=["reconstruct-rng-seed", "verify-bound-rng-seed", "bench-rng-seed", "bench-tolerance"],
+    )
+    def test_flag_of_another_command_is_two(self, argv, capsys):
+        code, out, err = run_out(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+    def test_non_ascii_digit_is_two(self, capsys):
+        code, out, err = run_out(["check", "--expr", "x*\u00b2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected character '\u00b2' (offset 2)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "sine", "--delta", "1/512", "--delta", "1/8", "--engine", "dyadic"],
+            ["--seed", "square", "--delta", "1/4", "--box", "1000"],
+        ],
+        ids=["dense", "wide"],
+    )
+    def test_oversized_kernel_grid_is_two(self, argv, capsys):
+        # they asked for 8,193^2 and 64,001^2 kernel cells
+        start = time.perf_counter()
+        code, out, err = run_out(["verify-bound", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: kernel grid too large")
+        assert time.perf_counter() - start < 5.0
+
     def test_evaluation_error_is_two(self, capsys):
         code = run(
             ["reconstruct", "--expr", "1/(x - 1/4)", "--interval", "0", "1",
@@ -516,6 +582,21 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--seed", "square"],
+            ["reconstruct", "--seed", "square", "--interval", "0", "1", "--denominators", "2"],
+        ],
+        ids=["bench", "reconstruct"],
+    )
+    def test_keys_of_other_commands_accepted(self, argv, tmp_path, capsys):
+        # one file may serve several commands, so its keys are not refused
+        # where the matching flag is
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rng_seed=3\ntolerance=1e-3\nsamples=10\n", encoding="utf-8")
+        assert run_out(argv + ["--config", str(cfg)], capsys)[0] == 0
 
     def test_epsilon_key_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

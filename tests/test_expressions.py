@@ -236,6 +236,16 @@ class TestParseEval:
         with pytest.raises(ParseError):
             parse_expr("x + 1)", variables=("x",))
 
+    @pytest.mark.parametrize(
+        "src,position", [("x*\u00b2", 2), ("1\u00b2", 1), ("2.\u00b3", 2), ("\u0663*x", 0)]
+    )
+    def test_non_ascii_digit(self, src, position):
+        # str.isdigit takes superscripts and other scripts' digits, which
+        # float() then refused with a bare ValueError
+        with pytest.raises(ParseError) as exc:
+            parse_expr(src, variables=("x", "y"))
+        assert exc.value.position == position
+
 
 class TestEvaluationErrors:
     def test_pole(self):

@@ -8,92 +8,86 @@ import pytest
 from conftest import SMOOTH_SEEDS, oracle_solution, seed_kernel
 from cocycle import (
     QuadratureError,
-    antiderivative,
     bivariate_expression,
-    derivative_profile,
-    directional_derivative,
     grid_keys,
     reconstruct_ck_point,
     reconstruct_ck_table,
     reconstruct_table,
 )
+from cocycle.smooth import _dl, _integrate
 
 F_BILINEAR = bivariate_expression("2*x*y")
 F_ZERO = bivariate_expression("0")
 
 
+def h1(F, x: float) -> float:
+    return _dl(F, x, 0.0)
+
+
+def h2(F, y: float) -> float:
+    return _dl(F, 0.0, y) - _dl(F, 0.0, 0.0)
+
+
 class TestDirectionalDerivative:
     def test_bilinear_gradient(self):
         # grad F = (2y, 2x); along (1/sqrt2, -1/sqrt2) at (1, 0): -sqrt2
-        got = directional_derivative(F_BILINEAR, (1.0, 0.0))
+        got = _dl(F_BILINEAR, 1.0, 0.0)
         assert got == pytest.approx(-math.sqrt(2), abs=1e-8)
 
     def test_vanishes_at_origin(self):
-        assert abs(directional_derivative(F_BILINEAR, (0.0, 0.0))) <= 1e-10
+        assert abs(_dl(F_BILINEAR, 0.0, 0.0)) <= 1e-10
 
     def test_constant_function(self):
         F = bivariate_expression("3")
-        assert directional_derivative(F, (0.4, -1.2)) == 0.0
+        assert _dl(F, 0.4, -1.2) == 0.0
 
-    def test_explicit_step(self):
-        got = directional_derivative(F_BILINEAR, (1.0, 0.0), step=1e-5)
-        assert got == pytest.approx(-math.sqrt(2), abs=1e-8)
-
-    def test_richardson_tightens_smooth_case(self):
-        F = seed_kernel("expo")
-        pt = (0.3, 0.4)
+    def test_expo_matches_closed_form(self):
         # d/ds F(pt + s*l) at 0, computed analytically for g = exp
-        x, y = pt
-        inv = 1 / math.sqrt(2)
-        truth = (math.exp(x + y) - math.exp(x)) * inv - (
-            math.exp(x + y) - math.exp(y)
-        ) * inv
-        plain = directional_derivative(F, pt, step=1e-4, richardson=False)
-        extra = directional_derivative(F, pt, step=1e-4, richardson=True)
-        assert abs(extra - truth) <= abs(plain - truth) + 1e-14
+        F = seed_kernel("expo")
+        x, y = 0.3, 0.4
+        truth = (math.exp(y) - math.exp(x)) / math.sqrt(2)
+        assert _dl(F, x, y) == pytest.approx(truth, abs=1e-9)
 
 
 class TestDerivativeProfile:
     def test_h2_zero_at_origin(self):
-        prof = derivative_profile(seed_kernel("expo"))
-        assert prof.h2(0.0) == 0.0
+        assert h2(seed_kernel("expo"), 0.0) == 0.0
 
     @pytest.mark.parametrize("name", SMOOTH_SEEDS)
     def test_antisymmetry(self, name):
-        prof = derivative_profile(seed_kernel(name))
-        worst = max(
-            abs(prof.h1(t) + prof.h2(t)) for t in [0.1 * i for i in range(-10, 11)]
-        )
+        F = seed_kernel(name)
+        worst = max(abs(h1(F, t) + h2(F, t)) for t in [0.1 * i for i in range(-10, 11)])
         assert worst <= 1e-6
-
-    def test_step_recorded(self):
-        prof = derivative_profile(F_BILINEAR, step=1e-5)
-        assert prof.step == 1e-5
 
 
 class TestAntiderivative:
     def test_linear(self):
-        assert antiderivative(lambda z: z, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert _integrate(lambda z: z, 0.0, 1.0, 1e-10) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_integrand(self):
-        assert antiderivative(lambda z: 0.0, 3.7) == 0.0
+        assert _integrate(lambda z: 0.0, 0.0, 3.7, 1e-10) == 0.0
 
     def test_zero_width(self):
-        assert antiderivative(lambda z: z * z, 0.0) == 0.0
+        assert _integrate(lambda z: z * z, 0.0, 0.0, 1e-10) == 0.0
 
     def test_exponential(self):
-        got = antiderivative(math.exp, 1.0, tol=1e-12)
+        got = _integrate(math.exp, 0.0, 1.0, 1e-12)
         assert got == pytest.approx(math.e - 1, abs=1e-10)
 
     def test_reversed_orientation(self):
-        # integral from 0 down to -1 of z dz = +1/2
-        assert antiderivative(lambda z: z, -1.0) == pytest.approx(0.5, abs=1e-12)
+        # integral from 0 down to -1 of z dz = +1/2, taken as the
+        # negative keys of a table take it
+        assert -_integrate(lambda z: z, -1.0, 0.0, 1e-10) == pytest.approx(0.5, abs=1e-12)
+        table = reconstruct_ck_table(F_BILINEAR, [Fraction(-1)])
+        assert table.values[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_subdivision_limit(self):
         with pytest.raises(QuadratureError) as exc:
-            antiderivative(lambda z: math.sin(50 * z), 1.0, tol=1e-14, max_depth=2)
+            _integrate(lambda z: math.sin(50 * z), 0.0, 1.0, 1e-14, max_depth=2)
         assert math.isfinite(exc.value.estimate)
         assert exc.value.error > 0
+        with pytest.raises(QuadratureError):
+            reconstruct_ck_point(bivariate_expression("sqrt(abs(x)) * sqrt(abs(y))"), 1.0, tol=1e-15)
 
 
 class TestCkReconstruction:

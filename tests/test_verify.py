@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import ALL_SEEDS, seed_kernel
 from cocycle import (
     EvaluationError,
+    ReconstructedFunction,
     affine_difference,
     bivariate_expression,
     check_bound_c0,
@@ -196,6 +197,20 @@ class TestModulusEstimate:
     def test_positive_delta_required(self):
         with pytest.raises(ValueError):
             modulus_estimate(lambda x, y: x, 0.0, UNIT_BOX, 0.05)
+
+    @pytest.mark.parametrize(
+        "fn", [seed_kernel("expo"), seed_kernel("sine"), lambda x, y: float(x) * float(y)],
+        ids=["expo", "sine", "scalar-only"],
+    )
+    def test_row_blocks_equal_one_grid(self, fn, monkeypatch):
+        # the grid is filled in row blocks; any block size, down to one
+        # row, gives the value of a single full-grid evaluation
+        box = ((-1.0, 2.0), (-0.5, 1.5))
+        got = []
+        for points in (10**9, 1000, 1):
+            monkeypatch.setattr(verify, "_BLOCK_POINTS", points)
+            got.append(modulus_estimate(fn, 0.25, box, 1 / 32))
+        assert got[1] == got[0] and got[2] == got[0]
 
     @pytest.mark.parametrize("domain", [(0.0, 1.0), ((0.0, 1.0),), ((0, 1), (0, 1), (0, 1))])
     def test_domain_must_be_a_box(self, domain):
@@ -407,6 +422,53 @@ class TestBoundChecks:
             monkeypatch.setattr(verify, "_BLOCK_POINTS", points)
             reports.append(check_bound_c0(F, table, [Fraction(1, 8)], 2).to_ndjson())
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    class Admitted(Exception):
+        pass
+
+    @staticmethod
+    def _zero_table(keys):
+        return ReconstructedFunction(keys=keys, values=[0.0] * len(keys), engine="dyadic")
+
+    def _refuse_grid(self, monkeypatch):
+        # the guard has to act before the kernel grid is allocated
+        def grid(fn, xs, ys):
+            raise self.Admitted(len(xs) * len(ys))
+
+        monkeypatch.setattr(verify, "_grid", grid)
+
+    @pytest.mark.parametrize(
+        "M,keys,deltas",
+        [
+            # 8,193^2 cells: f sampled at 1/1024 on [-1, 1]
+            (1, dict(dyadic_level=10), [Fraction(1, 512), Fraction(1, 8)]),
+            # 64,001^2 cells: f sampled at 1/8 on [-1000, 1000]
+            (1000, dict(dyadic_level=3), [Fraction(1, 4)]),
+            # 2,049^2 cells, under the cell limit, but 769 window passes
+            (1, dict(dyadic_level=8), [Fraction(3, 8)]),
+        ],
+        ids=["cells", "wide-box", "window-work"],
+    )
+    def test_oversized_kernel_grid_refused(self, M, keys, deltas, monkeypatch):
+        self._refuse_grid(monkeypatch)
+        table = self._zero_table(grid_keys((-M, M), **keys))
+        with pytest.raises(ValueError, match="kernel grid too large"):
+            check_bound_c0(F_BILINEAR, table, deltas, M)
+
+    @pytest.mark.parametrize(
+        "M,den,deltas,cells",
+        [
+            (2, 128, [Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)], 2049**2),
+            (1, 300, [Fraction(1, 300)], 2401**2),
+        ],
+        ids=["box-2-three-deltas", "delta-1/300"],
+    )
+    def test_documented_grids_admitted(self, M, den, deltas, cells, monkeypatch):
+        self._refuse_grid(monkeypatch)
+        table = self._zero_table(grid_keys((-M, M), denominators=den))
+        with pytest.raises(self.Admitted) as exc:
+            check_bound_c0(F_BILINEAR, table, deltas, M)
+        assert exc.value.args == (cells,)
 
     def test_ndjson_schema(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
