@@ -18,7 +18,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .continuous import (
@@ -42,6 +41,7 @@ from .rational import format_rational, parse_rational
 from .smooth import QuadratureError, reconstruct_ck_table
 from .verify import (
     VerificationReport,
+    _bound_sampling,
     check_bound_c0,
     kurepa_residual,
     symmetry_residual,
@@ -62,69 +62,48 @@ def _cast_deltas(text: str) -> list[Fraction]:
     return [parse_rational(p) for p in text.split(",") if p.strip()]
 
 
-def _cast_engine(text: str) -> str:
-    if text not in _ENGINE_CHOICES:
-        raise ValueError(f"engine must be one of {_ENGINE_CHOICES}, got {text!r}")
-    return text
+def _one_of(name: str, options: tuple[str, ...]):
+    def cast(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"{name} must be one of {options}, got {text!r}")
+        return text
+
+    return cast
 
 
-def _cast_format(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {text!r}")
-    return text
-
-
-# config-file keys and their parsers; keys match option names with
-# dashes replaced by underscores
-_CASTS = {
-    "expr": str,
-    "seed": str,
-    "vars": str,
-    "out": str,
-    "format": _cast_format,
-    "engine": _cast_engine,
-    "box": float,
-    "tolerance": float,
-    "samples": int,
-    "rng_seed": int,
-    "denominators": int,
-    "dyadic_level": int,
-    "interval": _cast_interval,
-    "delta": _cast_deltas,
+# every setting: its config-file parser and its default.  A setting's
+# config key and argparse dest are its option name with dashes replaced
+# by underscores; a flag wins over the config file, which wins over the
+# default.
+_SETTINGS = {
+    "expr": (str, None),
+    "seed": (str, None),
+    "vars": (str, None),
+    "out": (str, None),
+    "format": (_one_of("format", ("csv", "json")), "csv"),
+    "engine": (_one_of("engine", _ENGINE_CHOICES), "euclid-chain"),
+    "box": (float, 2.0),  # verify-bound: 1
+    "tolerance": (float, 1e-9),
+    "samples": (int, 1000),
+    "rng_seed": (int, 0),
+    "denominators": (int, None),
+    "dyadic_level": (int, None),
+    "interval": (_cast_interval, None),
+    "delta": (_cast_deltas, ()),
 }
 
 
-@dataclass
-class RunConfig:
-    """Settings after merging CLI flags over config-file values."""
-
-    command: str
-    expr: str | None = None
-    seed: str | None = None
-    vars: str | None = None
-    out: str | None = None
-    format: str = "csv"
-    engine: str = "euclid-chain"
-    box: float = 2.0
-    tolerance: float = 1e-9
-    samples: int = 1000
-    rng_seed: int = 0
-    denominators: int | None = None
-    dyadic_level: int | None = None
-    interval: tuple[float, float] | None = None
-    deltas: list[Fraction] = field(default_factory=list)
-
-    def function(self) -> FuncSpec:
-        if (self.expr is None) == (self.seed is None):
-            raise ValueError("exactly one of --expr or --seed is required")
-        if self.seed is not None:
-            if self.vars is not None and self.vars.strip() != "t":
-                raise ValueError("--vars applies to --expr; seeds are in t")
-            return cocycle_from_seed(seed_expression(BUILTIN_SEEDS.get(self.seed, self.seed)))
-        names = tuple(s.strip() for s in (self.vars or "x,y").split(","))
-        if len(names) != 2 or not all(names):
-            raise ValueError("--vars must name two comma-separated variables")
-        return bivariate_expression(self.expr, variables=names)
+def _function(cfg: argparse.Namespace) -> FuncSpec:
+    if (cfg.expr is None) == (cfg.seed is None):
+        raise ValueError("exactly one of --expr or --seed is required")
+    if cfg.seed is not None:
+        if cfg.vars is not None and cfg.vars.strip() != "t":
+            raise ValueError("--vars applies to --expr; seeds are in t")
+        return cocycle_from_seed(seed_expression(BUILTIN_SEEDS.get(cfg.seed, cfg.seed)))
+    names = tuple(s.strip() for s in (cfg.vars or "x,y").split(","))
+    if len(names) != 2 or not all(names):
+        raise ValueError("--vars must name two comma-separated variables")
+    return bivariate_expression(cfg.expr, variables=names)
 
 
 def _load_config(path: str) -> dict:
@@ -138,40 +117,32 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CASTS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
             try:
-                mapping[key] = _CASTS[key](value.strip())
+                mapping[key] = _SETTINGS[key][0](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return mapping
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig(command=args.command)
-    if args.command == "verify-bound":
-        cfg.box = 1.0
-
-    def pick(name, fallback):
-        cli = getattr(args, name, None)
-        if cli is not None:
-            return cli
-        if name in config:
-            return config[name]
-        return fallback
-
-    # function source: a CLI --expr/--seed overrides both config keys
-    if getattr(args, "expr", None) is not None or getattr(args, "seed", None) is not None:
-        cfg.expr, cfg.seed = args.expr, args.seed
-    else:
-        cfg.expr, cfg.seed = config.get("expr"), config.get("seed")
-
-    # a config file's vars belong to its own function, not to a CLI --seed
-    cfg.vars = args.vars if getattr(args, "seed", None) is not None else pick("vars", None)
-    for name in ("out", "format", "engine", "box", "tolerance", "samples", "rng_seed",
-                 "denominators", "dyadic_level", "interval"):
-        setattr(cfg, name, pick(name, getattr(cfg, name)))
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings of a run: each flag, else its config-file value, else
+    its default."""
+    config = _load_config(args.config) if args.config else {}
+    cfg = argparse.Namespace(command=args.command)
+    # a CLI --expr or --seed replaces the config file's function; a CLI
+    # --seed also replaces its vars, which belong to the file's function
+    cli_only = {"expr", "seed"} if args.expr is not None or args.seed is not None else set()
+    if args.seed is not None:
+        cli_only.add("vars")
+    for name, (_, default) in _SETTINGS.items():
+        if name == "box" and args.command == "verify-bound":
+            default = 1.0
+        value = getattr(args, name, None)
+        if value is None and name not in cli_only:
+            value = config.get(name, default)
+        setattr(cfg, name, value)
     if cfg.interval is not None:
         cfg.interval = tuple(cfg.interval)
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
@@ -180,7 +151,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"--box must be finite, got {cfg.box}")
     if cfg.interval is not None and not all(map(math.isfinite, cfg.interval)):
         raise ValueError(f"--interval endpoints must be finite, got {cfg.interval}")
-    cfg.deltas = list(getattr(args, "delta", None) or config.get("delta", ()))
     return cfg
 
 
@@ -192,20 +162,20 @@ def _write_text(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(cfg: RunConfig, report: VerificationReport) -> int:
+def _emit_report(cfg: argparse.Namespace, report: VerificationReport) -> int:
     _write_text(cfg.out, report.to_ndjson())
     return 0 if report.passed else 1
 
 
-def _table(cfg: RunConfig, F, keys):
+def _table(cfg: argparse.Namespace, F, keys):
     """The sample table of f on ``keys`` from the configured engine."""
     if cfg.engine == "ck":
         return reconstruct_ck_table(F, keys, tol=cfg.tolerance)
     return reconstruct_table(F, keys, engine=cfg.engine)
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    F = cfg.function()
+def _cmd_check(cfg: argparse.Namespace) -> int:
+    F = _function(cfg)
     if not cfg.box > 0:  # a box of 0 or less samples only the origin
         raise ValueError(f"check --box must be positive, got {cfg.box}")
     rng = random.Random(cfg.rng_seed)
@@ -221,8 +191,8 @@ def _cmd_check(cfg: RunConfig) -> int:
     return _emit_report(cfg, report)
 
 
-def _cmd_reconstruct(cfg: RunConfig) -> int:
-    F = cfg.function()
+def _cmd_reconstruct(cfg: argparse.Namespace) -> int:
+    F = _function(cfg)
     if cfg.interval is None:
         raise ValueError("--interval is required for reconstruct")
     keys = grid_keys(
@@ -238,14 +208,14 @@ def _cmd_reconstruct(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_bound(cfg: RunConfig) -> int:
-    F = cfg.function()
-    if not cfg.deltas:
+def _cmd_verify_bound(cfg: argparse.Namespace) -> int:
+    F = _function(cfg)
+    if not cfg.delta:
         raise ValueError("--delta is required for verify-bound (repeatable)")
     if not (cfg.box >= 1 and cfg.box == int(cfg.box)):
         raise ValueError(f"verify-bound --box must be a whole number >= 1, got {cfg.box}")
     M = int(cfg.box)
-    den = cfg.denominators or 2 * max(d.denominator for d in cfg.deltas)
+    den = cfg.denominators or 2 * max(d.denominator for d in cfg.delta)
     if den < 1:
         raise ValueError("denominator bound must be >= 1")
     if cfg.engine == "dyadic":
@@ -253,12 +223,13 @@ def _cmd_verify_bound(cfg: RunConfig) -> int:
         keys = grid_keys((-M, M), dyadic_level=(den - 1).bit_length())
     else:
         keys = grid_keys((-M, M), denominators=den)
-    report = check_bound_c0(F, _table(cfg, F, keys), cfg.deltas, M, tolerance=cfg.tolerance)
+    _bound_sampling(keys, cfg.delta, M)  # what the keys rule out is refused before the table
+    report = check_bound_c0(F, _table(cfg, F, keys), cfg.delta, M, tolerance=cfg.tolerance)
     return _emit_report(cfg, report)
 
 
-def _cmd_bench(cfg: RunConfig) -> int:
-    F = cfg.function()
+def _cmd_bench(cfg: argparse.Namespace) -> int:
+    F = _function(cfg)
     stress = Fraction(1, 1000003)
     t0 = time.perf_counter()
     value = h_rational(F, stress)
@@ -366,10 +337,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
-    except (ParseError, EvaluationError, ConvergenceError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ParseError, EvaluationError, ConvergenceError, QuadratureError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

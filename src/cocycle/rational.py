@@ -9,8 +9,8 @@ used to identify a lattice point there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
@@ -43,8 +43,7 @@ def format_rational(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-@dataclass(frozen=True)
-class EuclidChain:
+class EuclidChain(NamedTuple):
     """Quotient chain of a reduced fraction p/n in (0, 1/2).
 
     Step j records (m_j, p_{j+1}) where m_j = floor(n / p_j) and
@@ -55,32 +54,6 @@ class EuclidChain:
 
     n: int
     steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or not self.steps:
-            raise ValueError("chain needs n >= 1 and at least one step")
-        self.remainders()  # full consistency check
-
-    def remainders(self) -> list[int]:
-        """Recover [p_0, ..., p_k] from the steps; validates the chain."""
-        m0, p1 = self.steps[0]
-        if m0 < 1 or (self.n - p1) % m0:
-            raise ValueError("inconsistent first step")
-        rems = [(self.n - p1) // m0]
-        prev_m = 0
-        for m, nxt in self.steps:
-            p = rems[-1]
-            if not (0 < p and 0 <= nxt < p):
-                raise ValueError("remainders must strictly decrease to zero")
-            if self.n != m * p + nxt:
-                raise ValueError("step does not divide n")
-            if m < prev_m:
-                raise ValueError("quotients must be nondecreasing")
-            prev_m = m
-            rems.append(nxt)
-        if rems[-1] != 0:
-            raise ValueError("chain must terminate at remainder zero")
-        return rems
 
 
 def euclid_chain(r: Fraction) -> EuclidChain:
@@ -99,4 +72,4 @@ def euclid_chain(r: Fraction) -> EuclidChain:
     while p:
         m, p = divmod(n, p)
         steps.append((m, p))
-    return EuclidChain(n=n, steps=tuple(steps))
+    return EuclidChain(n, tuple(steps))

@@ -73,10 +73,10 @@ def _adaptive(
     if abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
     if depth <= 0:
+        estimate, error = left + right + err / 15.0, abs(err) / 15.0
         raise QuadratureError(
-            "subdivision limit reached",
-            estimate=left + right + err / 15.0,
-            error=abs(err) / 15.0,
+            f"subdivision limit reached on [{a}, {b}]: estimate {estimate}, "
+            f"error {error} above tolerance {tol}", estimate, error
         )
     return _adaptive(fn, a, mid, fa, flm, fm, left, tol / 2.0, depth - 1) + _adaptive(
         fn, mid, b, fm, frm, fb, right, tol / 2.0, depth - 1

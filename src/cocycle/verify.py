@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .continuous import LatticeSolver, ReconstructedFunction
+from .continuous import KeyGrid, LatticeSolver, ReconstructedFunction
 from .expressions import _sample
 from .rational import format_rational
 
@@ -50,9 +51,9 @@ _PROBE_ANCHORS = 33
 # Kernel grids are evaluated in blocks of rows of about this many points.
 _BLOCK_POINTS = 1 << 16
 
-# check_bound_c0 refuses a kernel grid of more cells than this (64 MiB per
-# float64 buffer; the window maxima hold three), or whose window maxima
-# would take more cell passes than this, summed over the deltas.
+# A grid of more cells than this (64 MiB per float64 buffer; the window
+# maxima hold three), or whose window maxima would take more cell passes
+# than this, summed over the deltas, is refused before it is sampled.
 _GRID_CELL_LIMIT = 1 << 23
 _WINDOW_WORK_LIMIT = 1 << 31
 
@@ -182,13 +183,6 @@ def _box(domain) -> tuple[float, float, float, float]:
     return float(a), float(b), float(c), float(d)
 
 
-def _axis(a: float, b: float, step: float) -> np.ndarray:
-    if not b > a:
-        raise ValueError("empty grid: domain must have positive extent")
-    n = max(1, math.ceil((b - a) / step - 1e-12))
-    return np.linspace(a, b, n + 1)
-
-
 def _grid(fn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """fn on the grid xs x ys (indexed [i, j] = fn(xs[i], ys[j])), filled a
     block of rows at a time into one preallocated array, so only a block's
@@ -243,14 +237,46 @@ def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> floa
     return float(dil.max())
 
 
+def _layout(deltas, domain, grid_step: float, advice: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The axes of a grid over the box ``domain`` with spacing at most
+    ``grid_step``, refused before they are built if the grid or its window
+    maxima for ``deltas`` exceed _GRID_CELL_LIMIT or _WINDOW_WORK_LIMIT."""
+    a, b, c, d = _box(domain)
+    if not (b > a and d > c):
+        raise ValueError("empty grid: domain must have positive extent")
+    nx, ny = (max(1, math.ceil(w / grid_step - 1e-12)) for w in (b - a, d - c))
+    cells = (nx + 1) * (ny + 1)
+    # the window maxima make about 2 * reach + 1 passes over the grid per delta
+    passes = sum(
+        _reach(t, (b - a) / nx, nx + 1) + _reach(t, (d - c) / ny, ny + 1) + 1
+        for t in map(float, deltas)
+    )
+    if cells > _GRID_CELL_LIMIT or cells * passes > _WINDOW_WORK_LIMIT:
+        raise ValueError(
+            f"kernel grid too large: {cells} cells (limit {_GRID_CELL_LIMIT}) and "
+            f"{cells * passes} cell passes (limit {_WINDOW_WORK_LIMIT}){advice}"
+        )
+    return np.linspace(a, b, nx + 1), np.linspace(c, d, ny + 1)
+
+
+def _moduli(fn, deltas, domain, grid_step: float) -> tuple[float, list[float]]:
+    """The grid step along x and, for each delta, the window maximum of fn
+    on one grid laid out (and refused) by ``_layout``."""
+    xs, ys = _layout(deltas, domain, grid_step)
+    sx, sy = float(xs[1] - xs[0]), float(ys[1] - ys[0])
+    vals = _grid(fn, xs, ys)
+    return sx, [_window_max_2d(vals, sx, sy, float(t)) for t in deltas]
+
+
 def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
     """Grid lower estimate of sup |fn(a) - fn(b)| over |a - b| <= delta on
     the box ``domain`` = ((a, b), (c, d)), with Euclidean distances.
 
     The grid spans the box with spacing at most ``grid_step`` (which must
     not exceed delta).  With N points per axis and r = delta / grid_step
-    the window maxima cost O(N^2 * r).  A grid value that is not finite
-    raises EvaluationError.
+    the window maxima cost O(N^2 * r); a grid over the limits that
+    ``check_bound_c0`` also keeps raises ValueError before fn is sampled.
+    A grid value that is not finite raises EvaluationError.
     """
     delta = float(delta)
     grid_step = float(grid_step)
@@ -258,11 +284,7 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
         raise ValueError("delta and grid_step must be positive")
     if grid_step > delta:
         raise ValueError("grid_step must not exceed delta")
-    a, b, c, d = _box(domain)
-    xs = _axis(a, b, grid_step)
-    ys = _axis(c, d, grid_step)
-    vals = _grid(fn, xs, ys)
-    return _window_max_2d(vals, float(xs[1] - xs[0]), float(ys[1] - ys[0]), delta)
+    return _moduli(fn, [delta], domain, grid_step)[1][0]
 
 
 def modulus_probe(fn, delta: float, domain) -> float:
@@ -305,11 +327,37 @@ def modulus_probe(fn, delta: float, domain) -> float:
 
 # --- bound checks ------------------------------------------------------
 
-def _as_bound_delta(delta) -> Fraction:
-    d = Fraction(delta) if not isinstance(delta, Fraction) else delta
-    if not 0 < d < Fraction(1, 2):
-        raise ValueError(f"delta must lie in (0, 1/2), got {d}")
-    return d
+def _bound_sampling(keys: KeyGrid, deltas, M: int):
+    """The deltas, the keys in [-M, M] (a slice, and as floats) and the
+    kernel grid (box, step): what check_bound_c0 reads from the keys alone.
+    Whatever the keys alone rule out is refused here, before F is evaluated."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    ds = [Fraction(d) for d in deltas]
+    for d in ds:
+        if not 0 < d < Fraction(1, 2):
+            raise ValueError(f"delta must lie in (0, 1/2), got {d}")
+    if not ds:
+        raise ValueError("need at least one delta")
+    pairs = keys.pairs  # sorted, so the keys in [-M, M] are one slice
+    rows = slice(
+        bisect_left(pairs, True, key=lambda p: p[0] >= -M * p[1]),
+        bisect_left(pairs, True, key=lambda p: p[0] > M * p[1]),
+    )
+    kf = np.array([num / den for num, den in pairs[rows]])
+    if len(kf) < 2:
+        raise ValueError("sample table too small on [-M, M]")
+    f_step = float(np.max(np.diff(kf)))
+    kernel_grid = ((-M, M), (-M, M)), f_step / 4.0
+    _layout(ds, *kernel_grid, "; sample f more coarsely or on a smaller [-M, M]")
+    for d in ds:
+        if f_step > float(d):
+            raise ValueError(f"sample spacing {f_step} too coarse for delta {d}")
+    return ds, rows, kf, kernel_grid
+
+
+def _bound(check: str, params: dict, lhs: float, rhs: float, tol: float) -> CheckResult:
+    return CheckResult(check, params, lhs <= rhs + tol, tol, lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def check_bound_c0(
@@ -329,33 +377,13 @@ def check_bound_c0(
     that |h(delta)| <= 2 * omega(H; delta) on the unit square, where
     h = f + F(0,0) is the normalized lattice solution.
 
-    A kernel value on the grid that is not finite raises EvaluationError.
+    Inputs that the table's keys rule out, a kernel grid over the limits
+    among them, raise ValueError before F is evaluated.  A kernel value on
+    the grid that is not finite raises EvaluationError.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    ds = [_as_bound_delta(d) for d in deltas]
-    if not ds:
-        raise ValueError("need at least one delta")
-    entries = zip(table.keys.pairs, table.values)
-    inside = [(num / den, v) for (num, den), v in entries if -M * den <= num <= M * den]
-    if len(inside) < 2:
-        raise ValueError("sample table too small on [-M, M]")
-    kf, vf = (np.array(col) for col in zip(*inside))
-    gaps = np.diff(kf)
-    f_step = float(np.max(gaps))
-    kernel_step = f_step / 4.0
-    xs = _axis(-float(M), float(M), kernel_step)
-    actual_step = float(xs[1] - xs[0])
-    cells = len(xs) ** 2
-    # the window maxima make 2 * reach + 1 passes over the grid per delta
-    passes = sum(2 * _reach(float(d), actual_step, len(xs)) + 1 for d in ds)
-    if cells > _GRID_CELL_LIMIT or cells * passes > _WINDOW_WORK_LIMIT:
-        raise ValueError(
-            f"kernel grid too large: {cells} cells (limit {_GRID_CELL_LIMIT}) and "
-            f"{cells * passes} cell passes (limit {_WINDOW_WORK_LIMIT}); sample f more "
-            "coarsely or on a smaller [-M, M]"
-        )
-    kernel_vals = _grid(F, xs, xs)
+    ds, rows, kf, kernel_grid = _bound_sampling(table.keys, deltas, M)
+    vf = np.array(table.values[rows])
+    kernel_step, kernel_moduli = _moduli(F, ds, *kernel_grid)
 
     solver = LatticeSolver(F)
 
@@ -364,12 +392,8 @@ def check_bound_c0(
 
     unit_box = ((0.0, 1.0), (0.0, 1.0))
     results: list[CheckResult] = []
-    for d in ds:
+    for d, kernel_modulus in zip(ds, kernel_moduli):
         df = float(d)
-        if f_step > df:
-            raise ValueError(
-                f"sample spacing {f_step} too coarse for delta {d}"
-            )
         # reconstruction side: pairs of stored samples within delta
         left = 0.0
         j = 0
@@ -380,36 +404,16 @@ def check_bound_c0(
             if j > i + 1:
                 window = vf[i + 1 : j]
                 left = max(left, float(np.max(np.abs(window - vf[i]))))
-        right = 3.0 * _window_max_2d(kernel_vals, actual_step, actual_step, df)
-        results.append(
-            CheckResult(
-                check="modulus-bound",
-                params={"delta": d, "M": M, "grid_step": actual_step},
-                passed=left <= right + tolerance,
-                tolerance=tolerance,
-                lhs=left,
-                rhs=right,
-                slack=right - left,
-            )
-        )
+        params = {"delta": d, "M": M, "grid_step": kernel_step}
+        results.append(_bound("modulus-bound", params, left, 3.0 * kernel_modulus, tolerance))
         # lattice side: |h(p/n)| against twice the kernel modulus at p/n
         h_val = solver.h(d)
         if 4 * d.denominator <= _GRID_AXIS_LIMIT * d.numerator:
             omega_h = modulus_estimate(H, df, unit_box, df / 4.0)
         else:
             omega_h = modulus_probe(H, df, unit_box)
-        lhs = abs(h_val)
-        rhs = 2.0 * omega_h
         results.append(
-            CheckResult(
-                check="lattice-bound",
-                params={"delta": d},
-                passed=lhs <= rhs + LATTICE_TOLERANCE,
-                tolerance=LATTICE_TOLERANCE,
-                lhs=lhs,
-                rhs=rhs,
-                slack=rhs - lhs,
-            )
+            _bound("lattice-bound", {"delta": d}, abs(h_val), 2.0 * omega_h, LATTICE_TOLERANCE)
         )
     return VerificationReport(results)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cocycle.cli import run
+from cocycle import cli
+from cocycle.cli import _SETTINGS, _load_config, _resolve, build_parser, run
 
 GOLDEN_QUARTER_CSV = """t,f,t_exact
 0,0,
@@ -245,6 +246,38 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: kernel grid too large")
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--delta", "1/4", "--box", "1000"], "kernel grid too large"),
+            (["--delta", "1/4", "--box", "40000", "--denominators", "4"], "kernel grid too large"),
+            (["--delta", "1/16", "--denominators", "4"], "too coarse for delta 1/16"),
+            (["--delta", "3/4"], "delta must lie in (0, 1/2)"),
+        ],
+        ids=["wide", "wider", "coarse", "delta-range"],
+    )
+    def test_refused_before_the_table(self, argv, message, monkeypatch, capsys):
+        # what the keys alone rule out is refused before f is reconstructed
+        def table(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "_table", table)
+        code, out, err = run_out(["verify-bound", "--seed", "square", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_quadrature_error_names_where_it_stopped(self, capsys):
+        argv = ["reconstruct", "--seed", "expo", "--interval", "0", "1", "--dyadic-level", "3",
+                "--engine", "ck", "--tolerance", "0"]
+        code, out, err = run_out(argv, capsys)
+        assert (code, out) == (2, "")
+        number = r"-?[0-9.e+-]+"
+        assert re.fullmatch(
+            rf"error: subdivision limit reached on \[{number}, {number}\]: "
+            rf"estimate {number}, error {number} above tolerance 0\.0\n",
+            err,
+        ), err
 
     def test_evaluation_error_is_two(self, capsys):
         code = run(
@@ -604,6 +637,61 @@ class TestConfigFile:
         code, _, err = run_out(["reconstruct", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown setting 'epsilon'" in err
+
+
+# one valid config-file value for every setting
+CONFIG_VALUES = {
+    "expr": "x*y",
+    "seed": "sine",
+    "vars": "x,y",
+    "out": "table.csv",
+    "format": "json",
+    "engine": "dyadic",
+    "box": "3",
+    "tolerance": "1e-6",
+    "samples": "5",
+    "rng_seed": "2",
+    "denominators": "7",
+    "dyadic_level": "4",
+    "interval": "0, 1",
+    "delta": "1/4,1/8",
+}
+
+
+class TestSettingsTable:
+    def test_every_flag_is_a_setting(self):
+        (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
+        assert dests - {"help", "config"} == set(_SETTINGS)
+
+    def test_every_setting_loads_from_a_config_file(self, tmp_path):
+        assert set(CONFIG_VALUES) == set(_SETTINGS)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in CONFIG_VALUES.items()), encoding="utf-8")
+        loaded = _load_config(str(cfg))
+        assert set(loaded) == set(_SETTINGS)
+        resolved = _resolve(build_parser().parse_args(["bench", "--config", str(cfg)]))
+        assert {name: getattr(resolved, name) for name in _SETTINGS} == loaded
+
+    def test_defaults(self):
+        resolved = _resolve(build_parser().parse_args(["check"]))
+        assert {name: getattr(resolved, name) for name in _SETTINGS} == {
+            name: default for name, (_, default) in _SETTINGS.items()
+        }
+        assert _resolve(build_parser().parse_args(["verify-bound"])).box == 1.0
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("format=xml", "format must be one of ('csv', 'json'), got 'xml'"),
+            ("engine=fast", "engine must be one of ('euclid-chain', 'dyadic', 'ck'), got 'fast'"),
+        ],
+    )
+    def test_choice_refused(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=square\n{line}\n", encoding="utf-8")
+        code, _, err = run_out(["bench", "--config", str(cfg)], capsys)
+        assert (code, err) == (2, f"error: {cfg}:2: {message}\n")
 
 
 class TestReadme:

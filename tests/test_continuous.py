@@ -102,7 +102,7 @@ class ReferenceSolver:
         if engine == "dyadic":
             return (self.h(2 * r, engine) - self.H(r, r)) / 2.0
         chain = euclid_chain(r)
-        nodes = [Fraction(p, chain.n) for p in chain.remainders()]
+        nodes = [r] + [Fraction(p, chain.n) for _, p in chain.steps]
         h_next = 0.0
         for j in range(len(chain.steps) - 1, -1, -1):
             key = ("euclid-chain", nodes[j])

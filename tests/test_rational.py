@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle import (
-    EuclidChain,
     euclid_chain,
     format_rational,
     parse_rational,
@@ -101,7 +100,7 @@ class TestEuclidChain:
         if p == 0 or 2 * p >= n:
             return
         chain = euclid_chain(Fraction(p, n))
-        rems = chain.remainders()
+        rems = [p] + [nxt for _, nxt in chain.steps]
         assert rems[0] == p and rems[-1] == 0
         assert all(a > b for a, b in zip(rems, rems[1:]))
         quots = [m for m, _ in chain.steps]
@@ -109,14 +108,6 @@ class TestEuclidChain:
         assert all(a <= b for a, b in zip(quots, quots[1:]))
         for (m, nxt), cur in zip(chain.steps, rems):
             assert n == m * cur + nxt
-
-    def test_inconsistent_steps_rejected(self):
-        with pytest.raises(ValueError):
-            EuclidChain(n=5, steps=((2, 2), (5, 0)))  # 5 != 2*?+2 consistently
-        with pytest.raises(ValueError):
-            EuclidChain(n=7, steps=((2, 1),))  # does not terminate at 0
-        with pytest.raises(ValueError):
-            EuclidChain(n=7, steps=((3, 1), (2, 0)))  # quotients decrease
 
 
 def _nearest_dyadic(t: float, level: int) -> Fraction:

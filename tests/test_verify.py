@@ -212,6 +212,27 @@ class TestModulusEstimate:
             got.append(modulus_estimate(fn, 0.25, box, 1 / 32))
         assert got[1] == got[0] and got[2] == got[0]
 
+    @pytest.mark.parametrize(
+        "domain,step,delta",
+        [
+            # 200,001^2 cells, 320 GB per float64 buffer
+            (((-100, 100), (-100, 100)), 1e-3, 0.25),
+            # 2,001^2 cells, under the cell limit, but 1,001 window passes
+            (((0, 1), (0, 1)), 1 / 2000, 0.25),
+        ],
+        ids=["cells", "window-work"],
+    )
+    def test_oversized_grid_refused(self, domain, step, delta, monkeypatch):
+        _refuse_grid(monkeypatch)
+        with pytest.raises(ValueError, match="kernel grid too large"):
+            modulus_estimate(F_BILINEAR, delta, domain, step)
+
+    def test_grid_under_the_limits_admitted(self, monkeypatch):
+        _refuse_grid(monkeypatch)
+        with pytest.raises(Admitted) as exc:
+            modulus_estimate(F_BILINEAR, 0.25, ((0, 1), (0, 2)), 1 / 64)
+        assert exc.value.args == (65 * 129,)
+
     @pytest.mark.parametrize("domain", [(0.0, 1.0), ((0.0, 1.0),), ((0, 1), (0, 1), (0, 1))])
     def test_domain_must_be_a_box(self, domain):
         with pytest.raises(ValueError, match="must be a box"):
@@ -371,6 +392,18 @@ class TestModulusProbe:
             assert 0.0 < got <= 6 * delta + 1e-15
 
 
+class Admitted(Exception):
+    """A grid got past the size guards to the sampler."""
+
+
+def _refuse_grid(monkeypatch):
+    # the guard has to act before the kernel grid is allocated
+    def grid(fn, xs, ys):
+        raise Admitted(len(xs) * len(ys))
+
+    monkeypatch.setattr(verify, "_grid", grid)
+
+
 class TestBoundChecks:
     def test_bilinear_passes(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=32))
@@ -423,19 +456,9 @@ class TestBoundChecks:
             reports.append(check_bound_c0(F, table, [Fraction(1, 8)], 2).to_ndjson())
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
-    class Admitted(Exception):
-        pass
-
     @staticmethod
     def _zero_table(keys):
         return ReconstructedFunction(keys=keys, values=[0.0] * len(keys), engine="dyadic")
-
-    def _refuse_grid(self, monkeypatch):
-        # the guard has to act before the kernel grid is allocated
-        def grid(fn, xs, ys):
-            raise self.Admitted(len(xs) * len(ys))
-
-        monkeypatch.setattr(verify, "_grid", grid)
 
     @pytest.mark.parametrize(
         "M,keys,deltas",
@@ -450,7 +473,7 @@ class TestBoundChecks:
         ids=["cells", "wide-box", "window-work"],
     )
     def test_oversized_kernel_grid_refused(self, M, keys, deltas, monkeypatch):
-        self._refuse_grid(monkeypatch)
+        _refuse_grid(monkeypatch)
         table = self._zero_table(grid_keys((-M, M), **keys))
         with pytest.raises(ValueError, match="kernel grid too large"):
             check_bound_c0(F_BILINEAR, table, deltas, M)
@@ -464,11 +487,24 @@ class TestBoundChecks:
         ids=["box-2-three-deltas", "delta-1/300"],
     )
     def test_documented_grids_admitted(self, M, den, deltas, cells, monkeypatch):
-        self._refuse_grid(monkeypatch)
+        _refuse_grid(monkeypatch)
         table = self._zero_table(grid_keys((-M, M), denominators=den))
-        with pytest.raises(self.Admitted) as exc:
+        with pytest.raises(Admitted) as exc:
             check_bound_c0(F_BILINEAR, table, deltas, M)
         assert exc.value.args == (cells,)
+
+    def test_coarse_second_delta_refused_before_F(self):
+        # f is sampled at gaps up to 1/8: fine for 1/4, too coarse for 1/16
+        calls = []
+
+        def F(x, y):
+            calls.append((x, y))
+            return 2.0 * x * y
+
+        table = self._zero_table(grid_keys((-1, 1), denominators=8))
+        with pytest.raises(ValueError, match="too coarse for delta 1/16"):
+            check_bound_c0(F, table, [Fraction(1, 4), Fraction(1, 16)], 1)
+        assert calls == []
 
     def test_ndjson_schema(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
