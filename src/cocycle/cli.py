@@ -59,7 +59,7 @@ def _cast_interval(text: str) -> tuple[float, float]:
 
 
 def _cast_deltas(text: str) -> list[Fraction]:
-    return [parse_rational(p) for p in text.split(",") if p.strip()]
+    return [parse_rational(p) for p in map(str.strip, text.split(",")) if p]
 
 
 def _one_of(name: str, options: tuple[str, ...]):
@@ -215,7 +215,9 @@ def _cmd_verify_bound(cfg: argparse.Namespace) -> int:
     if not (cfg.box >= 1 and cfg.box == int(cfg.box)):
         raise ValueError(f"verify-bound --box must be a whole number >= 1, got {cfg.box}")
     M = int(cfg.box)
-    den = cfg.denominators or 2 * max(d.denominator for d in cfg.delta)
+    den = cfg.denominators
+    if den is None:
+        den = 2 * max(d.denominator for d in cfg.delta)
     if den < 1:
         raise ValueError("denominator bound must be >= 1")
     if cfg.engine == "dyadic":

@@ -165,68 +165,60 @@ class LatticeSolver:
         return self._h_value(r.numerator, r.denominator, engine)
 
     def _h_value(self, num: int, den: int, engine: str) -> float:
+        # h(num/den) by one loop: down the line of parents (module
+        # docstring) to a cached value or to h(0) = h(1) = 0, then back up,
+        # applying each key's identity.  Kernel terms are taken on the way
+        # up, so F is called in the order a recursion would call it.
         cache = self._h[engine]
-        val = cache.get((num, den))
-        if val is None:
-            val = cache[(num, den)] = self._h_reduce(num, den, engine)
-        return val
-
-    def _h_reduce(self, num: int, den: int, engine: str) -> float:
-        if num == 0 or num == den:
-            return 0.0
-        if num < 0:
-            return -self._h_value(-num, den, engine) - self._kernel(-num, den, num, den)
-        if num > den:
-            k, s = divmod(num, den)
-            if s == 0:
-                return self._h_integer(k)
-            return (
-                self._h_value(k, 1, engine)
-                + self._h_value(s, den, engine)
-                + self._kernel(k, 1, s, den)
-            )
-        if 2 * num == den:
-            return -self._kernel(1, 2, 1, 2) / 2.0
-        if 2 * num > den:
-            return -self._h_value(den - num, den, engine) - self._kernel(num, den, den - num, den)
-        if engine == "dyadic":
-            # num is odd, so 2r = num / (den/2) is reduced
-            return (self._h_value(num, den >> 1, engine) - self._kernel(num, den, num, den)) / 2.0
-        return self._h_chain(num, den)
-
-    def _h_integer(self, k: int) -> float:
-        # h(k), k >= 2, along the binary digits of k from h(1) = 0:
-        # h(2m) = 2h(m) + H(m, m) and h(m+1) = h(m) + H(1, m)
-        hv, m = 0.0, 1
-        for bit in bin(k)[3:]:
-            hv = 2.0 * hv + self._kernel(m, 1, m, 1)
-            m *= 2
-            if bit == "1":
-                hv += self._kernel(1, 1, m, 1)
-                m += 1
-        return hv
-
-    def _h_chain(self, p: int, n: int) -> float:
-        # The nodes p_j/n of the quotient chain n = m_j * p_j + p_{j+1},
-        # down to remainder 0 or to the first node already cached, then
-        # h back up the chain from there.
-        cache = self._h["euclid-chain"]
-        nodes = []
-        hv = 0.0  # h at the terminal remainder, which is 0
-        while p:
-            g = math.gcd(p, n)
-            cached = cache.get((p // g, n // g))
-            if cached is not None:
-                hv = cached
+        hv = cache.get((num, den))
+        if hv is not None:  # most calls, in a grid
+            return hv
+        path = []
+        hk = None  # h(k) at the path's one key k + s: below it, all keys lie in [0, 1)
+        while hv is None:
+            if num == 0 or num == den:
+                hv = 0.0
                 break
-            m, rest = divmod(n, p)
-            nodes.append((p // g, n // g, m, rest))
-            p = rest
-        for a, b, m, rest in reversed(nodes):
-            row = self._row_sum(a, b, m)
-            g = math.gcd(rest, n)  # rest = 0 gives the pair (0, 1)
-            c, d = rest // g, n // g
-            hv = cache[(a, b)] = -(row + self._kernel(c, d, d - c, d) + hv) / m
+            path.append((num, den))
+            if num < 0:
+                num = -num
+            elif den == 1:
+                num >>= 1
+            elif num > den:
+                # h(k) before s, so the first pole reported is the one
+                # at the integer part
+                hk = self._h_value(num // den, 1, engine)
+                num %= den
+            elif 2 * num == den:
+                break
+            elif 2 * num > den:
+                num = den - num
+            elif engine == "dyadic":
+                den >>= 1  # num is odd, so 2r is reduced
+            else:
+                num, den = _chain_next(num, den)
+            hv = cache.get((num, den))
+        while path:
+            num, den = key = path.pop()
+            if num < 0:
+                hv = -hv - self._kernel(-num, den, num, den)
+            elif den == 1:
+                m = num >> 1
+                hv = 2.0 * hv + self._kernel(m, 1, m, 1)
+                if num & 1:
+                    hv += self._kernel(1, 1, 2 * m, 1)
+            elif num > den:
+                hv = hk + hv + self._kernel(num // den, 1, num % den, den)
+            elif 2 * num == den:
+                hv = -self._kernel(1, 2, 1, 2) / 2.0
+            elif 2 * num > den:
+                hv = -hv - self._kernel(num, den, den - num, den)
+            elif engine == "dyadic":
+                hv = (hv - self._kernel(num, den, num, den)) / 2.0
+            else:
+                (c, d), m = _chain_next(num, den), den // num
+                hv = -(self._row_sum(num, den, m) + self._kernel(c, d, d - c, d) + hv) / m
+            cache[key] = hv
         return hv
 
     def f_value(self, r: Fraction, engine: str = "euclid-chain") -> float:
@@ -255,6 +247,13 @@ class LatticeSolver:
         0 < |d| <= 1."""
         n = (d.denominator // abs(d.numerator)).bit_length() - 1  # the largest n with |d| <= 2**-n
         return _up(self._H_abs(_bracket(q), _bracket(d)) + self._h_bound(n))
+
+
+def _chain_next(p: int, n: int) -> tuple[int, int]:
+    """The next node of the quotient chain of p/n, (n mod p)/n, reduced."""
+    rest = n % p
+    g = math.gcd(rest, n)  # rest = 0 gives the pair (0, 1)
+    return rest // g, n // g
 
 
 def _up(v: float) -> float:

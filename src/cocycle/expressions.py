@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -110,51 +111,20 @@ _FUNCS = {  # name: (scalar, array) implementation
 
 # --- tokenizer and parser --------------------------------------------
 
-_OPS = set("+-*/^(),")
-_DIGITS = set("0123456789")  # str.isdigit would also take "²" and other digits
+# numbers (ASCII digits), names, operators, and any other non-space
+# character, which is an error.  [^\W\d] also takes digits that are not
+# decimal, such as "²", so a name must still start with a letter or "_".
+_TOKEN = re.compile(r"([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     # (kind, text, position); kinds: num, name, op
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j] in _DIGITS:
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k] in _DIGITS:
-                    j = k
-                    while j < n and src[j] in _DIGITS:
-                        j += 1
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(src):
+        text, at = m.group(), m.start()
+        if m.lastindex == 4 or (m.lastindex == 2 and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(f"unexpected character {text[0]!r}", at)
+        tokens.append((("num", "name", "op")[m.lastindex - 1], text, at))
     return tokens
 
 
@@ -182,6 +152,11 @@ class _Parser:
             return tok[1]
         return None
 
+    def _close(self) -> None:
+        tok = self._peek()
+        if not self._accept_op(")"):
+            raise ParseError("expected ')'", tok[2] if tok else len(self.src))
+
     def parse(self) -> Expr:
         node = self._expr()
         tok = self._peek()
@@ -189,21 +164,14 @@ class _Parser:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
-    def _expr(self) -> Expr:
-        node = self._term()
-        while True:
-            op = self._accept_op("+", "-")
-            if not op:
-                return node
-            node = Bin(op, node, self._term())
-
-    def _term(self) -> Expr:
-        node = self._factor()
-        while True:
-            op = self._accept_op("*", "/")
-            if not op:
-                return node
-            node = Bin(op, node, self._factor())
+    def _expr(self, level: int = 0) -> Expr:
+        # one left-associative loop per level: + - between level-1
+        # chains, * / between factors
+        ops = ("+-", "*/")[level]
+        node = self._factor() if level else self._expr(1)
+        while op := self._accept_op(*ops):
+            node = Bin(op, node, self._factor() if level else self._expr(1))
+        return node
 
     def _factor(self) -> Expr:
         if self._accept_op("-"):
@@ -228,10 +196,7 @@ class _Parser:
                 args = [self._expr()]
                 while self._accept_op(","):
                     args.append(self._expr())
-                closing = self._peek()
-                if not self._accept_op(")"):
-                    where = closing[2] if closing else len(self.src)
-                    raise ParseError("expected ')'", where)
+                self._close()
                 if len(args) != 1:
                     raise ParseError(
                         f"{text} expects 1 argument, got {len(args)}", at
@@ -244,10 +209,7 @@ class _Parser:
             raise ParseError(f"unknown identifier {text!r}", at)
         if text == "(":
             node = self._expr()
-            closing = self._peek()
-            if not self._accept_op(")"):
-                where = closing[2] if closing else len(self.src)
-                raise ParseError("expected ')'", where)
+            self._close()
             return node
         raise ParseError(f"unexpected {text!r}", at)
 

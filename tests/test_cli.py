@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_first_pole_is_at_the_integer_part(self, capsys):
+        # h(5/2) takes h(2) before h(1/2): F fails at (1, 1) on the way to
+        # h(2), before it would fail at (1/2, 1/2) on the way to h(1/2)
+        argv = ["reconstruct", "--expr", "1/(x*y-1)+1/(4*x*y-1)", "--interval", "2.4", "2.6",
+                "--denominators", "2"]
+        code, out, err = run_out(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: F not evaluable at lattice point (1, 1): float division by zero\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("engine", ["euclid-chain", "dyadic"])
+    def test_verify_bound_zero_denominators_is_two(self, source, engine, tmp_path, capsys):
+        # 0 is a density, not an unset value
+        argv = ["verify-bound", "--seed", "square", "--delta", "1/4", "--engine", engine]
+        if source == "flag":
+            argv += ["--denominators", "0"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("denominators = 0\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        code, out, err = run_out(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: denominator bound must be >= 1\n"
+
 
 class TestReconstructCommand:
     def test_golden_quarter_grid(self, capsys):
@@ -419,6 +444,19 @@ class TestReconstructCommand:
         )
         assert code == 0
         assert out.splitlines()[2] == "0.5,-0.25"
+
+    def test_dyadic_level_520(self, capsys):
+        # 520 halvings from the integer/half lattice: at two frames a
+        # level, a recursive descent passes the default recursion limit
+        argv = ["reconstruct", "--seed", "square", "--engine", "dyadic", "--dyadic-level", "520",
+                "--interval", "0", "1e-155"]
+        code, out, _ = run_out(argv, capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 35
+        for t_text, f_text in rows:
+            t = float(Decimal(t_text))
+            assert float(f_text) == pytest.approx(t * t - t, rel=1e-12, abs=0.0)
 
 
 class TestGoldens:
@@ -599,6 +637,14 @@ class TestConfigFile:
         code, out, _ = run_out(["verify-bound", "--config", str(cfg)], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 4
+
+    def test_config_deltas_with_spaces(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = square\ndelta = 1/8, 1/16\n", encoding="utf-8")
+        code, out, _ = run_out(["verify-bound", "--config", str(cfg)], capsys)
+        assert code == 0
+        flags = ["verify-bound", "--seed", "square", "--delta", "1/8", "--delta", "1/16"]
+        assert out == run_out(flags, capsys)[1]
 
     @pytest.mark.parametrize(
         "command,settings",

@@ -462,6 +462,25 @@ class TestIntegerPart:
             assert h(k) == 2.0 * h(k // 2) + solver.H(Fraction(k // 2), Fraction(k // 2))
 
 
+class TestDescent:
+    @pytest.mark.parametrize("r", [Fraction(1, 2**700), -5 - Fraction(3, 2**700)])
+    def test_deep_dyadic_keys(self, r):
+        # 700 halvings, below an integer part and a sign change: the
+        # descent is a loop, so its depth is not bounded by the stack
+        got = LatticeSolver(seed_kernel("sine")).h(r, "dyadic")
+        assert math.isfinite(got)
+        assert got == pytest.approx(oracle_solution("sine")(r), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_integer_grid_equals_reference(self, name):
+        # one solver across every integer of [-700, 700]: h(k) from the
+        # cached h(k >> 1) equals the reference's recursion on k // 2
+        F = KERNELS[name]
+        solver, ref = LatticeSolver(F), ReferenceSolver(F)
+        for k in range(-700, 701):
+            assert solver.h(Fraction(k)) == ref.h(Fraction(k))
+
+
 class TestGridKeys:
     def test_denominator_grid(self):
         keys = grid_keys((0, 1), denominators=4)

@@ -22,7 +22,7 @@ from cocycle import (
     parse_expr,
     seed_expression,
 )
-from cocycle.expressions import Bin, Call, Const, Num, Unary, Var
+from cocycle.expressions import Bin, Call, Const, Num, Unary, Var, _tokenize
 
 finite_floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -105,6 +105,63 @@ def reference_kernel(seed, x, y):
 # --- reference: a canonical renderer, to test the parser against -------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
+
+# --- reference: the character scanner that the token pattern replaced -----
+
+_REF_OPS = set("+-*/^(),")
+_REF_DIGITS = set("0123456789")
+
+
+def reference_tokenize(src: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _REF_OPS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch in _REF_DIGITS:
+            j = i
+            while j < n and src[j] in _REF_DIGITS:
+                j += 1
+            if j < n and src[j] == ".":
+                j += 1
+                while j < n and src[j] in _REF_DIGITS:
+                    j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k] in _REF_DIGITS:
+                    j = k
+                    while j < n and src[j] in _REF_DIGITS:
+                        j += 1
+            tokens.append(("num", src[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def tokens_or_error(tokenize, src):
+    """The tokens, or the text and offset of the ParseError raised."""
+    try:
+        return tokenize(src)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
 
 
 def _prec(node):
@@ -245,6 +302,25 @@ class TestParseEval:
         with pytest.raises(ParseError) as exc:
             parse_expr(src, variables=("x", "y"))
         assert exc.value.position == position
+
+
+# "²" and "½" are numeric but not decimal, "٣" is a decimal digit that is
+# not ASCII, "ı" and "ß" are letters, "\xa0" is a space and "𝟙" lies
+# above U+FFFF
+TOKEN_CHARS = list("+-*/^(),0123456789.eE x_ \t") + list("²½éßı٣\xa0𝟙")
+
+
+class TestTokenizer:
+    @given(st.text(st.sampled_from(TOKEN_CHARS), max_size=16))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_reference(self, src):
+        assert tokens_or_error(_tokenize, src) == tokens_or_error(reference_tokenize, src)
+
+    def test_every_code_point_matches_reference(self):
+        # alone, ending a name and ending a number
+        for cp in range(0x10000):
+            for src in (chr(cp), "x" + chr(cp), "1" + chr(cp)):
+                assert tokens_or_error(_tokenize, src) == tokens_or_error(reference_tokenize, src)
 
 
 class TestEvaluationErrors:
