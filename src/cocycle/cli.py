@@ -24,6 +24,7 @@ from .continuous import (
     ENGINES,
     ConvergenceError,
     LatticeSolver,
+    grid_gap,
     grid_keys,
     h_rational,
     reconstruct_table,
@@ -42,6 +43,7 @@ from .smooth import QuadratureError, reconstruct_ck_table
 from .verify import (
     VerificationReport,
     _bound_sampling,
+    _kernel_grid,
     check_bound_c0,
     kurepa_residual,
     symmetry_residual,
@@ -221,10 +223,11 @@ def _cmd_verify_bound(cfg: argparse.Namespace) -> int:
     if den < 1:
         raise ValueError("denominator bound must be >= 1")
     if cfg.engine == "dyadic":
-        # the smallest level L with 2**L >= den
-        keys = grid_keys((-M, M), dyadic_level=(den - 1).bit_length())
+        grid = {"dyadic_level": (den - 1).bit_length()}  # the smallest L with 2**L >= den
     else:
-        keys = grid_keys((-M, M), denominators=den)
+        grid = {"denominators": den}
+    _kernel_grid(cfg.delta, M, grid_gap((-M, M), **grid))  # refused before any key is built
+    keys = grid_keys((-M, M), **grid)
     _bound_sampling(keys, cfg.delta, M)  # what the keys rule out is refused before the table
     report = check_bound_c0(F, _table(cfg, F, keys), cfg.delta, M, tolerance=cfg.tolerance)
     return _emit_report(cfg, report)

@@ -65,6 +65,7 @@ __all__ = [
     "reconstruct_point",
     "reconstruct_table",
     "grid_keys",
+    "grid_gap",
 ]
 
 ENGINES = ("euclid-chain", "dyadic")
@@ -74,6 +75,10 @@ _VECTOR_MIN = 128
 
 # grid_keys refuses grids larger than this many keys.
 MAX_GRID_KEYS = 10**6
+
+# One call of LatticeSolver.h or reconstruct_table refuses euclid-chain
+# row sums of more kernel terms than this, counted over all of its rows.
+MAX_ROW_TERMS = 1 << 25
 
 
 class ConvergenceError(Exception):
@@ -93,17 +98,19 @@ class LatticeSolver:
 
     Exact points are reduced integer pairs (num, den) with den > 0, and F
     gets each one as the float num / den.  h is cached per engine by its
-    pair, and H by the 4-tuple (a, b, c, d) of H(a/b, c/d); no Fraction is
-    built below the public methods.  Reads and single-key insertions on
-    these dicts are atomic under the interpreter lock, so a solver may be
-    shared across threads that only query values.
+    pair; no Fraction is built below the public methods.  H is not cached,
+    and a recomputed value is the same float; an odd integer 2m + 1 builds
+    on h(2m), so an integer grid asks for each H(m, m) once.  Reads and
+    single-key insertions on the h caches are atomic under the interpreter
+    lock, so a solver may be shared across threads that only query values.
+    The euclid-chain rows of one call of ``h`` or ``reconstruct_table``
+    hold at most MAX_ROW_TERMS kernel terms in all (``_row_sum``).
     """
 
     def __init__(self, F):
         self.F = F
         self.F00 = float(F(0.0, 0.0))
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
-        self._H: dict[tuple[int, int, int, int], float] = {}
         # for reconstruct_point: F(0, 0) enclosed, and _S[n], a bound of
         # sup |h(u)| over |u| <= 2**-n
         self._F00_box = F.enclose((0.0, 0.0), (0.0, 0.0)) if isinstance(F, FuncSpec) else None
@@ -112,21 +119,14 @@ class LatticeSolver:
     # -- kernel access --
 
     def H(self, x: Fraction, y: Fraction) -> float:
-        """H(x, y) = F(x, y) - F(0, 0) at exact points, through the cache."""
+        """H(x, y) = F(x, y) - F(0, 0) at exact points."""
         x, y = Fraction(x), Fraction(y)
         return self._kernel(x.numerator, x.denominator, y.numerator, y.denominator)
 
     def _kernel(self, a: int, b: int, c: int, d: int) -> float:
+        # H(a/b, c/d); the pairs need not be reduced
         if a == 0 or c == 0:
             return 0.0  # H(x, 0) = H(0, y) = 0 for any cocycle
-        key = (a, b, c, d)
-        cached = self._H.get(key)
-        if cached is None:
-            cached = self._H[key] = self._eval(a, b, c, d)
-        return cached
-
-    def _eval(self, a: int, b: int, c: int, d: int) -> float:
-        # H(a/b, c/d), uncached; the pairs need not be reduced
         xf, yf = a / b, c / d
         try:
             val = float(self.F(xf, yf)) - self.F00
@@ -142,11 +142,20 @@ class LatticeSolver:
             )
         return val
 
-    def _row_sum(self, a: int, b: int, m: int) -> float:
+    def _row_sum(self, a: int, b: int, m: int, row_terms: list[int]) -> float:
         # sum_{i=1..m-1} H(a/b, i*a/b); m can reach b, so long rows take one
         # sampled call and exact (Shewchuk) summation via math.fsum.  A pole
         # spoils one row, which scalar calls then report at its lattice
-        # point.  Each row is summed once, so it bypasses the H cache.
+        # point.  row_terms[0] counts the row terms of the current public
+        # call; a row that would take it past MAX_ROW_TERMS is refused
+        # before it is evaluated or allocated.
+        terms = row_terms[0] + m - 1
+        if terms > MAX_ROW_TERMS:
+            raise ValueError(
+                f"euclid-chain row sums reach {terms} kernel terms at key {a}/{b}; "
+                f"the limit per call is {MAX_ROW_TERMS}"
+            )
+        row_terms[0] = terms
         if m - 1 >= _VECTOR_MIN:
             ys = np.arange(1, m, dtype=np.float64) * float(a) / float(b)
             try:
@@ -155,16 +164,16 @@ class LatticeSolver:
                 pass
             else:
                 return math.fsum((vals - self.F00).tolist())
-        return math.fsum(self._eval(a, b, i * a, b) for i in range(1, m))
+        return math.fsum(self._kernel(a, b, i * a, b) for i in range(1, m))
 
     # -- h at rationals --
 
     def h(self, r: Fraction, engine: str = "euclid-chain") -> float:
         r = Fraction(r)
         _check_engine(engine, [(r.numerator, r.denominator)])
-        return self._h_value(r.numerator, r.denominator, engine)
+        return self._h_value(r.numerator, r.denominator, engine, [0])
 
-    def _h_value(self, num: int, den: int, engine: str) -> float:
+    def _h_value(self, num: int, den: int, engine: str, row_terms: list[int]) -> float:
         # h(num/den) by one loop: down the line of parents (module
         # docstring) to a cached value or to h(0) = h(1) = 0, then back up,
         # applying each key's identity.  Kernel terms are taken on the way
@@ -183,11 +192,11 @@ class LatticeSolver:
             if num < 0:
                 num = -num
             elif den == 1:
-                num >>= 1
+                num = num - 1 if num & 1 else num >> 1
             elif num > den:
                 # h(k) before s, so the first pole reported is the one
                 # at the integer part
-                hk = self._h_value(num // den, 1, engine)
+                hk = self._h_value(num // den, 1, engine, row_terms)
                 num %= den
             elif 2 * num == den:
                 break
@@ -203,10 +212,11 @@ class LatticeSolver:
             if num < 0:
                 hv = -hv - self._kernel(-num, den, num, den)
             elif den == 1:
-                m = num >> 1
-                hv = 2.0 * hv + self._kernel(m, 1, m, 1)
                 if num & 1:
-                    hv += self._kernel(1, 1, 2 * m, 1)
+                    hv += self._kernel(1, 1, num - 1, 1)
+                else:
+                    m = num >> 1
+                    hv = 2.0 * hv + self._kernel(m, 1, m, 1)
             elif num > den:
                 hv = hk + hv + self._kernel(num // den, 1, num % den, den)
             elif 2 * num == den:
@@ -217,7 +227,8 @@ class LatticeSolver:
                 hv = (hv - self._kernel(num, den, num, den)) / 2.0
             else:
                 (c, d), m = _chain_next(num, den), den // num
-                hv = -(self._row_sum(num, den, m) + self._kernel(c, d, d - c, d) + hv) / m
+                row = self._row_sum(num, den, m, row_terms)
+                hv = -(row + self._kernel(c, d, d - c, d) + hv) / m
             cache[key] = hv
         return hv
 
@@ -511,24 +522,19 @@ def reconstruct_table(
     grid = KeyGrid.of(keys)
     _check_engine(engine, grid.pairs)
     h, f00 = solver._h_value, solver.F00
+    row_terms = [0]  # the row-work limit holds per table
     return ReconstructedFunction(
         keys=grid,
-        values=[h(num, den, engine) - f00 for num, den in grid.pairs],
+        values=[h(num, den, engine, row_terms) - f00 for num, den in grid.pairs],
         engine=engine,
         normalization={"f(0)": -f00, "f(1)": -f00},
     )
 
 
-def grid_keys(
-    interval,
-    *,
-    denominators: int | None = None,
-    dyadic_level: int | None = None,
-) -> KeyGrid:
-    """Reduced rationals in [a, b]: all with denominator <= bound, or all
-    multiples of 2**-level, in increasing order.  Grids of more than
-    MAX_GRID_KEYS keys are rejected with ValueError before any key is
-    built."""
+def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
+    """The denominators of a grid and, as ``span(den)``, its numerators
+    over each; grids of more than MAX_GRID_KEYS keys are refused here,
+    before any key is built."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
     if any(isinstance(x, float) and not math.isfinite(x) for x in interval):
@@ -560,6 +566,20 @@ def grid_keys(
                 f"grid on [{a}, {b}] would hold over {total} keys; "
                 f"the limit is {MAX_GRID_KEYS}"
             )
+    return dens, span
+
+
+def grid_keys(
+    interval,
+    *,
+    denominators: int | None = None,
+    dyadic_level: int | None = None,
+) -> KeyGrid:
+    """Reduced rationals in [a, b]: all with denominator <= bound, or all
+    multiples of 2**-level, in increasing order.  Grids of more than
+    MAX_GRID_KEYS keys are rejected with ValueError before any key is
+    built."""
+    dens, span = _grid_spans(interval, denominators, dyadic_level)
     if dyadic_level is not None:
         (den,) = dens
         return KeyGrid([(num // (g := math.gcd(num, den)), den // g) for num in span(den)])
@@ -570,3 +590,19 @@ def grid_keys(
     if len({num / den for num, den in pairs}) < len(pairs):
         pairs.sort(key=lambda p: Fraction(*p))
     return KeyGrid(pairs)
+
+
+def grid_gap(
+    interval,
+    *,
+    denominators: int | None = None,
+    dyadic_level: int | None = None,
+) -> float:
+    """The widest gap between neighbouring keys of grid_keys on an
+    interval with integer endpoints: 1/N, beside each integer, for
+    denominators up to N, and 2**-level for the dyadic grid.  grid_keys'
+    refusals come first, and no key is built."""
+    if any(Fraction(x).denominator != 1 for x in interval):
+        raise ValueError("grid_gap needs an interval with integer endpoints")
+    _grid_spans(interval, denominators, dyadic_level)
+    return 1 / denominators if denominators is not None else 2.0**-dyadic_level

@@ -6,9 +6,9 @@ constants pi and e.  Precedence from tightest to loosest: ^ (right
 associative), unary minus, * /, + -.  Rational constants are written as
 integer quotients (e.g. 1/3).
 
-``FuncSpec`` wraps either a univariate seed g or a bivariate F and
-evaluates at floats or numpy arrays.  ``cocycle_from_seed`` turns a seed
-into the bivariate F(x, y) = g(x+y) - g(x) - g(y).
+``FuncSpec`` wraps the tree of a univariate seed g or of a bivariate F
+and evaluates at floats or numpy arrays.  ``cocycle_from_seed`` builds the
+tree of F(x, y) = g(x+y) - (g(x) + g(y)) from a seed's.
 Each ``FuncSpec`` compiles its AST once, at construction, to Python
 source for a scalar, an array and an interval callable; the parser admits
 only whitelisted names, so that source holds only arithmetic and our
@@ -215,8 +215,15 @@ class _Parser:
 
 
 def parse_expr(src: str, variables: tuple[str, ...] | list[str] = ("x", "y")) -> Expr:
-    """Parse source text over the given variable names into an AST."""
-    return _Parser(src, tuple(variables)).parse()
+    """Parse source text over the given variable names into an AST.
+    Nesting too deep for the recursive descent is a ParseError at the
+    token where the descent stopped."""
+    parser = _Parser(src, tuple(variables))
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser._peek()
+        raise ParseError("expression nested too deeply", tok[2] if tok else len(src)) from None
 
 
 # --- compilation --------------------------------------------------------
@@ -426,27 +433,42 @@ def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _compile(node: Expr, variables: tuple[str, ...], kernel: bool = False):
-    """Scalar, array and interval callables for ``node`` over ``variables``.
+# Python compiles source nested at most this many parentheses deep.  The
+# interval form nests deepest: one call per operation, and ((c), (c)) for
+# a constant c.
+_MAX_NESTING = 200
 
-    With ``kernel``, ``node`` is a seed g over one variable and all take
-    (x, y) and return g(x+y) - (g(x) + g(y)); that grouping keeps the
-    result bitwise symmetric in (x, y).
-    """
+
+def _nesting(node: Expr) -> int:
+    """How deep the interval source of ``node`` nests parentheses, found
+    by an iterative walk, so that a tree of any depth is measured."""
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Bin):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, Unary):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Call):
+            stack.append((node.arg, depth + 1))
+        else:
+            deepest = max(deepest, depth if isinstance(node, Var) else depth + 2)
+    return deepest
+
+
+def _compile(node: Expr, variables: tuple[str, ...]):
+    """Scalar, array and interval callables for ``node`` over ``variables``.
+    A tree nested deeper than Python compiles raises ValueError."""
+    nesting = _nesting(node)
+    if nesting > _MAX_NESTING:
+        raise ValueError(
+            f"expression nested too deeply: depth {nesting}, the limit is {_MAX_NESTING}"
+        )
+    params = [f"v{i}" for i in range(len(variables))]
+    names = dict(zip(variables, params))
     compiled = []
     for prefix in ("_s_", "_a_", "_i_"):
-        if kernel:
-            (t,) = variables
-            s, gx, gy = (_lower(node, {t: v}, prefix)[0] for v in ("s", "x", "y"))
-            # rebinding s frees the array x + y before g(x) and g(y) are built
-            if prefix == "_i_":
-                body = f"s = _i_add(x, y); s = {s}; return _i_sub(s, _i_add({gx}, {gy}))"
-            else:
-                body = f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
-            params = ["x", "y"]
-        else:
-            params = [f"v{i}" for i in range(len(variables))]
-            body = f"return {_lower(node, dict(zip(variables, params)), prefix)[0]}"
+        body = f"return {_lower(node, names, prefix)[0]}"
         if prefix == "_a_":
             body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
         scope: dict = {}
@@ -457,7 +479,7 @@ def _compile(node: Expr, variables: tuple[str, ...], kernel: bool = False):
 
 @functools.lru_cache(maxsize=256)
 def _spec(node: Expr, variables: tuple[str, ...]) -> "FuncSpec":
-    return FuncSpec(arity=len(variables), ast=node, variables=variables)
+    return FuncSpec(node, variables)
 
 
 def eval_expr(node: Expr, assignment: dict) -> float:
@@ -483,23 +505,20 @@ BUILTIN_SEEDS = {
 
 @dataclass(frozen=True)
 class FuncSpec:
-    """A univariate seed g or a bivariate F, evaluable at reals or arrays.
+    """The function of ``variables`` that the tree ``ast`` computes, a
+    univariate seed g or a bivariate F, evaluable at reals or arrays."""
 
-    With ``seed`` set this is F(x, y) = g(x+y) - g(x) - g(y), and ``ast``
-    and ``variables`` are the seed's."""
-
-    arity: int
     ast: Expr
     variables: tuple[str, ...]
-    seed: "FuncSpec | None" = field(default=None, repr=False)
+    arity: int = field(init=False, repr=False, compare=False)
     _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        compiled = _compile(self.ast, self.variables, kernel=self.seed is not None)
-        object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "arity", len(self.variables))
+        object.__setattr__(self, "_compiled", _compile(self.ast, self.variables))
 
     def __reduce__(self):  # compiled code does not pickle; rebuild it
-        return FuncSpec, (self.arity, self.ast, self.variables, self.seed)
+        return FuncSpec, (self.ast, self.variables)
 
     def __call__(self, *args):
         return self.evaluate(*args)
@@ -537,14 +556,12 @@ class FuncSpec:
 
 def bivariate_expression(src: str, variables: tuple[str, str] = ("x", "y")) -> FuncSpec:
     """F(x, y) from source text over two variables."""
-    ast = parse_expr(src, variables)
-    return FuncSpec(arity=2, ast=ast, variables=tuple(variables))
+    return FuncSpec(parse_expr(src, variables), tuple(variables))
 
 
 def seed_expression(src: str, variable: str = "t") -> FuncSpec:
     """Univariate seed g from source text."""
-    ast = parse_expr(src, (variable,))
-    return FuncSpec(arity=1, ast=ast, variables=(variable,))
+    return FuncSpec(parse_expr(src, (variable,)), (variable,))
 
 
 def builtin_seed(name: str) -> FuncSpec:
@@ -556,11 +573,29 @@ def builtin_seed(name: str) -> FuncSpec:
     return seed_expression(src)
 
 
+def _substitute(node: Expr, name: str, value: Expr) -> Expr:
+    """``node`` with ``value`` in place of the variable ``name``."""
+    if isinstance(node, Var):
+        return value if node.name == name else node
+    if isinstance(node, Unary):
+        return Unary(_substitute(node.operand, name, value))
+    if isinstance(node, Call):
+        return Call(node.func, _substitute(node.arg, name, value))
+    if isinstance(node, Bin):
+        left, right = (_substitute(n, name, value) for n in (node.left, node.right))
+        return Bin(node.op, left, right)
+    return node
+
+
 def cocycle_from_seed(g: FuncSpec) -> FuncSpec:
-    """Bivariate F(x, y) = g(x+y) - g(x) - g(y) induced by a seed g."""
+    """Bivariate F(x, y) = g(x+y) - (g(x) + g(y)) induced by a seed g: the
+    seed's tree with x + y, x and y in place of its variable.  That
+    grouping keeps F(x, y) == F(y, x) bit for bit."""
     if g.arity != 1:
         raise ValueError("seed must be univariate")
-    return FuncSpec(arity=2, ast=g.ast, variables=g.variables, seed=g)
+    x, y = Var("x"), Var("y")
+    gs, gx, gy = (_substitute(g.ast, g.variables[0], v) for v in (Bin("+", x, y), x, y))
+    return FuncSpec(Bin("-", gs, Bin("+", gx, gy)), ("x", "y"))
 
 
 # --- sampling -------------------------------------------------------------

@@ -327,18 +327,27 @@ def modulus_probe(fn, delta: float, domain) -> float:
 
 # --- bound checks ------------------------------------------------------
 
-def _bound_sampling(keys: KeyGrid, deltas, M: int):
-    """The deltas, the keys in [-M, M] (a slice, and as floats) and the
-    kernel grid (box, step): what check_bound_c0 reads from the keys alone.
-    Whatever the keys alone rule out is refused here, before F is evaluated."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+def _kernel_grid(deltas, M: int, f_step: float):
+    """The deltas and the kernel grid (box, step) of the bound checks on
+    [-M, M] for f sampled with widest gap ``f_step``.  Whatever these
+    alone rule out is refused here, before any key is built."""
     ds = [Fraction(d) for d in deltas]
     for d in ds:
         if not 0 < d < Fraction(1, 2):
             raise ValueError(f"delta must lie in (0, 1/2), got {d}")
     if not ds:
         raise ValueError("need at least one delta")
+    kernel_grid = ((-M, M), (-M, M)), f_step / 4.0
+    _layout(ds, *kernel_grid, "; sample f more coarsely or on a smaller [-M, M]")
+    return ds, kernel_grid
+
+
+def _bound_sampling(keys: KeyGrid, deltas, M: int):
+    """The deltas, the keys in [-M, M] (a slice, and as floats) and the
+    kernel grid (box, step): what check_bound_c0 reads from the keys alone.
+    Whatever the keys alone rule out is refused here, before F is evaluated."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     pairs = keys.pairs  # sorted, so the keys in [-M, M] are one slice
     rows = slice(
         bisect_left(pairs, True, key=lambda p: p[0] >= -M * p[1]),
@@ -348,8 +357,7 @@ def _bound_sampling(keys: KeyGrid, deltas, M: int):
     if len(kf) < 2:
         raise ValueError("sample table too small on [-M, M]")
     f_step = float(np.max(np.diff(kf)))
-    kernel_grid = ((-M, M), (-M, M)), f_step / 4.0
-    _layout(ds, *kernel_grid, "; sample f more coarsely or on a smaller [-M, M]")
+    ds, kernel_grid = _kernel_grid(deltas, M, f_step)
     for d in ds:
         if f_step > float(d):
             raise ValueError(f"sample spacing {f_step} too coarse for delta {d}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cocycle import cli
+from cocycle import cli, continuous
 from cocycle.cli import _SETTINGS, _load_config, _resolve, build_parser, run
 
 GOLDEN_QUARTER_CSV = """t,f,t_exact
@@ -101,6 +101,41 @@ class TestExitCodes:
         assert code == 2
         assert "limit is 1000000" in err
         assert time.perf_counter() - start < 2.0
+
+    def test_row_work_over_the_limit_is_two(self, monkeypatch, capsys):
+        # 100,001 keys 1/n, n up to 600,000, whose rows hold about n terms
+        # each; with a limit of 10**6 the second row is refused
+        monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 10**6)
+        code, out, err = run_out(
+            ["reconstruct", "--seed", "square", "--interval", "0", "2e-6",
+             "--denominators", "600000"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: euclid-chain row sums reach 1199997 kernel terms at key 1/599999; "
+            "the limit per call is 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("+".join(["x*y"] * 201), "expression nested too deeply: depth 201, the limit is 200"),
+            ("+".join(["x*y"] * 1000), "expression nested too deeply: depth 1000, the limit is 200"),
+            ("(" * 198 + "x*y" + ")" * 198, "expression nested too deeply (offset "),
+            ("exp(" * 198 + "x*y" + ")" * 198, "expression nested too deeply (offset "),
+        ],
+        ids=["sum-201", "sum-1000", "parentheses-198", "exp-198"],
+    )
+    def test_deep_expression_is_two(self, expr, message, capsys):
+        code, out, err = run_out(["check", "--expr", expr], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_150_term_sum_runs(self, capsys):
+        code, out, err = run_out(["check", "--expr", "+".join(["x*y"] * 150), "--samples", "20"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2
 
     def test_conflicting_resolutions_is_two(self, capsys):
         code = run(
@@ -267,6 +302,22 @@ class TestExitCodes:
         code, out, err = run_out(["verify-bound", "--seed", "square", *argv], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_kernel_grid_refused_before_the_keys(self, monkeypatch, capsys):
+        # the widest gap of the grid follows from --denominators alone
+        def grid_keys(*args, **kwargs):
+            raise AssertionError("keys were built")
+
+        monkeypatch.setattr(cli, "grid_keys", grid_keys)
+        argv = ["verify-bound", "--seed", "square", "--delta", "1/4", "--box", "40000",
+                "--denominators", "4"]
+        code, out, err = run_out(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: kernel grid too large: 1638402560001 cells (limit 8388608) and "
+            "14745623040009 cell passes (limit 2147483648); sample f more coarsely or on a "
+            "smaller [-M, M]\n"
+        )
 
     def test_quadrature_error_names_where_it_stopped(self, capsys):
         argv = ["reconstruct", "--seed", "expo", "--interval", "0", "1", "--dyadic-level", "3",
@@ -460,8 +511,9 @@ class TestReconstructCommand:
 
 
 class TestGoldens:
-    """Output recorded before the lattice moved to integer keys, compared
-    byte for byte."""
+    """Output compared byte for byte: the first three recorded before the
+    lattice moved to integer keys, the last three before seed kernels
+    became plain trees and the solver stopped caching H."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -472,6 +524,15 @@ class TestGoldens:
              ["reconstruct", "--seed", "sine", "--engine", "dyadic", "--dyadic-level", "5",
               "--interval", "-1.5", "2.25", "--format", "json"]),
             ("verify_bound_cube_8.ndjson", ["verify-bound", "--seed", "cube", "--delta", "1/8"]),
+            # keys 1/n with n >= 129 take the row sum's array path
+            ("reconstruct_expo_den300_near0.csv",
+             ["reconstruct", "--seed", "expo", "--interval", "0", "0.02", "--denominators", "300"]),
+            # the kernel's tree repeats x + y
+            ("reconstruct_texp_den12.json",
+             ["reconstruct", "--seed", "t*exp(t)-t^3", "--interval", "-1", "1", "--denominators", "12",
+              "--format", "json"]),
+            ("verify_bound_hoelder_40.ndjson",
+             ["verify-bound", "--seed", "hoelder", "--delta", "1/4", "--denominators", "40"]),
         ],
     )
     def test_output_matches_golden(self, name, argv, tmp_path):

@@ -21,6 +21,7 @@ from cocycle import (
     bivariate_expression,
     cocycle_from_seed,
     euclid_chain,
+    grid_gap,
     grid_keys,
     h_rational,
     reconstruct_point,
@@ -481,6 +482,43 @@ class TestDescent:
             assert solver.h(Fraction(k)) == ref.h(Fraction(k))
 
 
+    def test_integer_grid_asks_each_kernel_point_once(self):
+        # h(2m + 1) builds on h(2m), so H(m, m) is not asked for again
+        calls = []
+
+        def F(x, y):
+            calls.append((x, y))
+            return F_BILINEAR(x, y)
+
+        reconstruct_table(F, grid_keys((-64, 64), denominators=1))
+        # F(0, 0), then one new point per key k in [2, 64] and per key -k
+        assert len(set(calls)) == len(calls) == 1 + 63 + 64
+
+
+class TestRowWork:
+    @pytest.mark.parametrize("r", [Fraction(1, 2**700), Fraction(1, 10**9)])
+    def test_huge_row_is_refused_before_it_is_built(self, r):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at key {r}; the limit per call is 33554432"):
+            LatticeSolver(seed_kernel("square")).h(r)
+        assert time.perf_counter() - start < 10.0
+
+    def test_rows_count_per_call(self, monkeypatch):
+        monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 100)
+        solver = LatticeSolver(F_BILINEAR)
+        # one table: rows of 59 and 49 terms
+        with pytest.raises(ValueError, match="reach 108 kernel terms at key 1/50; the limit per call is 100"):
+            reconstruct_table(F_BILINEAR, [Fraction(1, 60), Fraction(1, 50)], solver=solver)
+        # rows of 59, 49 and 39 terms in three calls of h, then of 69 and
+        # 79 terms in two tables: the count starts again at each call
+        solver = LatticeSolver(F_BILINEAR)
+        for r in (Fraction(1, 60), Fraction(1, 50), Fraction(1, 40)):
+            assert solver.h(r) == ReferenceSolver(F_BILINEAR).h(r)
+        for r in (Fraction(1, 70), Fraction(1, 80)):
+            table = reconstruct_table(F_BILINEAR, [r], solver=solver)
+            assert table.values == [ReferenceSolver(F_BILINEAR).h(r) - solver.F00]
+
+
 class TestGridKeys:
     def test_denominator_grid(self):
         keys = grid_keys((0, 1), denominators=4)
@@ -529,6 +567,26 @@ class TestGridKeys:
             grid_keys((0, 1), denominators=4)
         with pytest.raises(ValueError, match="limit is 9"):
             grid_keys((0, 1), dyadic_level=4)
+
+    @pytest.mark.parametrize("M", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "grid",
+        [{"denominators": 1}, {"denominators": 7}, {"denominators": 12},
+         {"dyadic_level": 0}, {"dyadic_level": 3}],
+    )
+    def test_grid_gap_is_the_widest_gap(self, M, grid):
+        keys = list(grid_keys((-M, M), **grid))
+        assert grid_gap((-M, M), **grid) == float(max(b - a for a, b in zip(keys, keys[1:])))
+
+    def test_grid_gap_refusals(self, monkeypatch):
+        with pytest.raises(ValueError, match="integer endpoints"):
+            grid_gap((0, 0.5), denominators=4)
+        # the key limit comes first, as in grid_keys, and builds no key
+        monkeypatch.setattr(continuous, "MAX_GRID_KEYS", 9)
+        with pytest.raises(ValueError, match="limit is 9"):
+            grid_gap((0, 1), denominators=4)
+        with pytest.raises(ValueError, match="limit is 9"):
+            grid_gap((0, 1), dyadic_level=4)
 
     @staticmethod
     def _brute_force(a, b, dens):
@@ -635,11 +693,18 @@ class TestTables:
         assert table(0.75) == table.value_at(Fraction(3, 4))
 
     def test_memoization_shared_across_keys(self):
-        solver = LatticeSolver(F_BILINEAR)
-        reconstruct_table(F_BILINEAR, grid_keys((0, 1), denominators=8), solver=solver)
-        first = dict(solver._H)
-        reconstruct_table(F_BILINEAR, grid_keys((0, 1), denominators=8), solver=solver)
-        assert dict(solver._H) == first  # second pass hits the cache
+        calls = []
+
+        def F(x, y):
+            calls.append((x, y))
+            return F_BILINEAR(x, y)
+
+        solver = LatticeSolver(F)
+        reconstruct_table(F, grid_keys((0, 1), denominators=8), solver=solver)
+        assert calls
+        calls.clear()
+        reconstruct_table(F, grid_keys((0, 1), denominators=8), solver=solver)
+        assert calls == []  # the second pass reads every h from the cache
 
 
 class TestJson:

@@ -22,7 +22,7 @@ from cocycle import (
     parse_expr,
     seed_expression,
 )
-from cocycle.expressions import Bin, Call, Const, Num, Unary, Var, _tokenize
+from cocycle.expressions import _GLOBALS, Bin, Call, Const, Num, Unary, Var, _lower, _tokenize
 
 finite_floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -100,6 +100,27 @@ def reference_kernel(seed, x, y):
     g = [reference(seed, {"t": v}) for v in (x + y, x, y)]
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(g[0] - (g[1] + g[2]))
+
+
+def reference_compiled_kernel(g):
+    """cocycle_from_seed(g) with the compiled callables that built a seed
+    kernel before it became a plain tree: x + y bound once, and the
+    scalar, array and interval bodies written out by hand."""
+    compiled = []
+    for prefix in ("_s_", "_a_", "_i_"):
+        s, gx, gy = (_lower(g.ast, {g.variables[0]: v}, prefix)[0] for v in ("s", "x", "y"))
+        if prefix == "_i_":
+            body = f"s = _i_add(x, y); s = {s}; return _i_sub(s, _i_add({gx}, {gy}))"
+        else:
+            body = f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
+        if prefix == "_a_":
+            body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
+        scope: dict = {}
+        exec(f"def fn(x, y):\n    {body}", _GLOBALS, scope)
+        compiled.append(scope["fn"])
+    F = cocycle_from_seed(g)
+    object.__setattr__(F, "_compiled", tuple(compiled))
+    return F
 
 
 # --- reference: a canonical renderer, to test the parser against -------
@@ -365,13 +386,13 @@ class TestCompiledMatchesReference:
     @given(exprs(["x", "y"]), points, points)
     @settings(max_examples=400, deadline=None)
     def test_scalar(self, node, x, y):
-        F = FuncSpec(arity=2, ast=node, variables=("x", "y"))
+        F = FuncSpec(node, ("x", "y"))
         assert_same(outcome(F, x, y), outcome(reference, node, {"x": x, "y": y}))
 
     @given(exprs(["x", "y"]), st.one_of(points, point_arrays), point_arrays)
     @settings(max_examples=400, deadline=None)
     def test_array_and_mixed(self, node, x, ys):
-        F = FuncSpec(arity=2, ast=node, variables=("x", "y"))
+        F = FuncSpec(node, ("x", "y"))
         if np.ndim(x):
             x, ys = x[: len(ys)], ys[: len(x)]
         assert_same(outcome(F, x, ys), outcome(reference, node, {"x": x, "y": ys}))
@@ -389,7 +410,7 @@ class TestCompiledMatchesReference:
     def test_seed_kernel_symmetric_and_exact(self, seed, x, y):
         if np.ndim(x) and np.ndim(y):
             x, y = x[: len(y)], y[: len(x)]
-        F = cocycle_from_seed(FuncSpec(arity=1, ast=seed, variables=("t",)))
+        F = cocycle_from_seed(FuncSpec(seed, ("t",)))
         got = outcome(F, x, y)
         assert_same(got, outcome(reference_kernel, seed, x, y))
         assert_same(outcome(F, y, x), got)
@@ -560,12 +581,12 @@ class TestEnclosure:
     @given(exprs(["x", "y"]), boxes_and_points(2))
     @settings(max_examples=500, deadline=None)
     def test_contains_scalar_value(self, node, box_point):
-        assert_encloses(FuncSpec(arity=2, ast=node, variables=("x", "y")), *box_point)
+        assert_encloses(FuncSpec(node, ("x", "y")), *box_point)
 
     @given(exprs(["t"]), boxes_and_points(2))
     @settings(max_examples=300, deadline=None)
     def test_seed_kernel_contains_scalar_value(self, seed, box_point):
-        assert_encloses(cocycle_from_seed(FuncSpec(arity=1, ast=seed, variables=("t",))), *box_point)
+        assert_encloses(cocycle_from_seed(FuncSpec(seed, ("t",))), *box_point)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SEEDS))
     @given(boxes_and_points(2))
@@ -612,3 +633,67 @@ class TestEnclosure:
     def test_arity(self):
         with pytest.raises(TypeError):
             bivariate_expression("x + y").enclose((0.0, 1.0))
+
+
+class TestSeedKernelTree:
+    """A seed kernel is the plain tree g(x+y) - (g(x) + g(y))."""
+
+    @given(exprs(["t"]), st.one_of(points, point_arrays), st.one_of(points, point_arrays),
+           boxes_and_points(2))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_hand_written_body(self, seed, x, y, box_point):
+        if np.ndim(x) and np.ndim(y):
+            x, y = x[: len(y)], y[: len(x)]
+        g = FuncSpec(seed, ("t",))
+        F, ref = cocycle_from_seed(g), reference_compiled_kernel(g)
+        got, want = outcome(F, x, y), outcome(ref, x, y)
+        assert_same(got, want)
+        if want is not EvaluationError:  # bit for bit, signed zeros too
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        box = box_point[0]
+        assert [v.hex() for v in F.enclose(*box)] == [v.hex() for v in ref.enclose(*box)]
+
+    def test_is_a_plain_tree(self):
+        F = cocycle_from_seed(builtin_seed("square"))
+        assert (F.variables, F.arity) == (("x", "y"), 2)
+        assert F == bivariate_expression("(x + y)^2 - (x^2 + y^2)")
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_seed_variable_named_like_a_kernel_variable(self, name):
+        F = cocycle_from_seed(seed_expression(f"{name}^3 - exp({name})", variable=name))
+        assert F == cocycle_from_seed(seed_expression("t^3 - exp(t)"))
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize(
+        "build,deepest",
+        [
+            (lambda n: bivariate_expression("+".join(["x*y"] * n)), 200),
+            (lambda n: bivariate_expression("+".join(["1"] * n)), 199),  # a constant c nests ((c), (c))
+            (lambda n: bivariate_expression("-" * n + "x"), 200),
+            (lambda n: cocycle_from_seed(seed_expression("^".join(["t"] * n))), 199),
+        ],
+        ids=["products", "constants", "negations", "seed-power-chain"],
+    )
+    def test_deepest_tree_compiles(self, build, deepest):
+        F = build(deepest)
+        F(0.5, 0.25)
+        F(np.array([0.5, 0.75]), 0.25)
+        F.enclose((0.5, 0.75), (0.25, 0.25))
+        with pytest.raises(ValueError, match="nested too deeply"):
+            build(deepest + 1)
+
+    def test_tree_built_in_code(self):
+        node = Var("x")
+        for _ in range(10_000):
+            node = Bin("+", node, Var("y"))
+        with pytest.raises(ValueError, match="depth 10000, the limit is 200"):
+            FuncSpec(node, ("x", "y"))
+
+    @pytest.mark.parametrize("opening", ["(", "exp("])
+    def test_parser_recursion_is_a_parse_error(self, opening):
+        src = opening * 300 + "x" + ")" * 300
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse_expr(src)
+        assert 0 < exc.value.position < len(src)
+        assert parse_expr("(x)") == Var("x")

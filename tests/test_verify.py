@@ -18,6 +18,7 @@ from cocycle import (
     bivariate_expression,
     check_bound_c0,
     cocycle_residual,
+    grid_gap,
     grid_keys,
     kurepa_residual,
     modulus_estimate,
@@ -492,6 +493,31 @@ class TestBoundChecks:
         with pytest.raises(Admitted) as exc:
             check_bound_c0(F_BILINEAR, table, deltas, M)
         assert exc.value.args == (cells,)
+
+    @pytest.mark.parametrize(
+        "M,grid,densities",
+        [(3, "denominators", range(120, 122)), (9, "denominators", range(40, 42)),
+         (45, "denominators", range(8, 10)), (1, "dyadic_level", range(8, 10))],
+    )
+    def test_grid_gap_lays_out_the_keys_kernel_grid(self, M, grid, densities):
+        # verify-bound lays out the kernel grid from grid_gap before the
+        # keys exist, and again from the keys' float gaps: on both sides of
+        # the cell limit (about 2,896 points per axis) the two agree
+        def outcome(f_step):
+            # a small delta, so that the cell limit decides
+            try:
+                xs, _ = verify._layout([Fraction(1, 10**4)], ((-M, M), (-M, M)), f_step / 4.0)
+            except ValueError as exc:
+                return str(exc)
+            return len(xs)
+
+        outcomes = []
+        for density in densities:
+            keys = grid_keys((-M, M), **{grid: density})
+            kf = np.array([num / den for num, den in keys.pairs])
+            outcomes.append(outcome(grid_gap((-M, M), **{grid: density})))
+            assert outcomes[-1] == outcome(float(np.max(np.diff(kf))))
+        assert isinstance(outcomes[0], int) and "kernel grid too large" in outcomes[-1]
 
     def test_coarse_second_delta_refused_before_F(self):
         # f is sampled at gaps up to 1/8: fine for 1/4, too coarse for 1/16
