@@ -42,8 +42,7 @@ from .rational import format_rational, parse_rational
 from .smooth import QuadratureError, reconstruct_ck_table
 from .verify import (
     VerificationReport,
-    _bound_sampling,
-    _kernel_grid,
+    _plan,
     check_bound_c0,
     kurepa_residual,
     symmetry_residual,
@@ -226,9 +225,8 @@ def _cmd_verify_bound(cfg: argparse.Namespace) -> int:
         grid = {"dyadic_level": (den - 1).bit_length()}  # the smallest L with 2**L >= den
     else:
         grid = {"denominators": den}
-    _kernel_grid(cfg.delta, M, grid_gap((-M, M), **grid))  # refused before any key is built
+    _plan(cfg.delta, M, grid_gap((-M, M), **grid))  # every refusal, before any key is built
     keys = grid_keys((-M, M), **grid)
-    _bound_sampling(keys, cfg.delta, M)  # what the keys rule out is refused before the table
     report = check_bound_c0(F, _table(cfg, F, keys), cfg.delta, M, tolerance=cfg.tolerance)
     return _emit_report(cfg, report)
 

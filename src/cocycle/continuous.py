@@ -533,8 +533,9 @@ def reconstruct_table(
 
 def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     """The denominators of a grid and, as ``span(den)``, its numerators
-    over each; grids of more than MAX_GRID_KEYS keys are refused here,
-    before any key is built."""
+    over each; grids of more than MAX_GRID_KEYS candidate keys (every
+    multiple of 1/den in [a, b], reduced or not) are refused here, before
+    any key is built."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
     if any(isinstance(x, float) and not math.isfinite(x) for x in interval):
@@ -551,19 +552,20 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     if denominators is not None:
         if denominators < 1:
             raise ValueError("denominator bound must be >= 1")
-        dens = range(1, denominators + 1)
+        dens, form = range(1, denominators + 1), f"p/q with q up to {denominators}"
     else:
         if dyadic_level < 0:
             raise ValueError("dyadic level must be >= 0")
-        dens = (1 << dyadic_level,)
-    # the multiples of 1/den in [a, b], summed over dens, bound the key
-    # count; the sum stops as soon as it passes the limit
+        dens, form = (1 << dyadic_level,), f"k/2^{dyadic_level}"
+    # the sum stops as soon as it passes the limit; a span's length is
+    # taken from its ends, since len() of a range stops at 2^63
     total = 0
     for den in dens:
-        total += len(span(den))
+        r = span(den)
+        total += max(0, r.stop - r.start)
         if total > MAX_GRID_KEYS:
             raise ValueError(
-                f"grid on [{a}, {b}] would hold over {total} keys; "
+                f"grid on [{a}, {b}] has at least {total} candidate keys {form}; "
                 f"the limit is {MAX_GRID_KEYS}"
             )
     return dens, span
@@ -575,20 +577,19 @@ def grid_keys(
     denominators: int | None = None,
     dyadic_level: int | None = None,
 ) -> KeyGrid:
-    """Reduced rationals in [a, b]: all with denominator <= bound, or all
+    """Reduced rationals in [a, b]: all with denominator <= N, or all
     multiples of 2**-level, in increasing order.  Grids of more than
-    MAX_GRID_KEYS keys are rejected with ValueError before any key is
-    built."""
+    MAX_GRID_KEYS candidate keys are rejected with ValueError before any
+    key is built.  Two distinct keys p/q and r/s with q, s <= N differ by
+    at least 1/(qs) >= 1/N^2, so floor(N^2 * p/q), an integer, orders the
+    keys exactly, without a tie."""
     dens, span = _grid_spans(interval, denominators, dyadic_level)
     if dyadic_level is not None:
         (den,) = dens
         return KeyGrid([(num // (g := math.gcd(num, den)), den // g) for num in span(den)])
     pairs = [(num, den) for den in dens for num in span(den) if math.gcd(num, den) == 1]
-    # Rounding to float keeps order but can merge neighbours; only then
-    # is the order settled exactly.
-    pairs.sort(key=lambda p: p[0] / p[1])
-    if len({num / den for num, den in pairs}) < len(pairs):
-        pairs.sort(key=lambda p: Fraction(*p))
+    scale = denominators * denominators
+    pairs.sort(key=lambda p: p[0] * scale // p[1])
     return KeyGrid(pairs)
 
 
@@ -597,12 +598,12 @@ def grid_gap(
     *,
     denominators: int | None = None,
     dyadic_level: int | None = None,
-) -> float:
+) -> Fraction:
     """The widest gap between neighbouring keys of grid_keys on an
-    interval with integer endpoints: 1/N, beside each integer, for
-    denominators up to N, and 2**-level for the dyadic grid.  grid_keys'
-    refusals come first, and no key is built."""
+    interval with integer endpoints, exactly: 1/N, beside each integer,
+    for denominators up to N, and 2**-level for the dyadic grid.
+    grid_keys' refusals come first, and no key is built."""
     if any(Fraction(x).denominator != 1 for x in interval):
         raise ValueError("grid_gap needs an interval with integer endpoints")
     _grid_spans(interval, denominators, dyadic_level)
-    return 1 / denominators if denominators is not None else 2.0**-dyadic_level
+    return Fraction(1, denominators if denominators is not None else 1 << dyadic_level)

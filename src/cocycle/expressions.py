@@ -18,7 +18,6 @@ function over a box with outward-rounded interval arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -31,7 +30,6 @@ __all__ = [
     "ParseError",
     "EvaluationError",
     "parse_expr",
-    "eval_expr",
     "FuncSpec",
     "BUILTIN_SEEDS",
     "bivariate_expression",
@@ -433,63 +431,26 @@ def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# Python compiles source nested at most this many parentheses deep.  The
-# interval form nests deepest: one call per operation, and ((c), (c)) for
-# a constant c.
-_MAX_NESTING = 200
-
-
-def _nesting(node: Expr) -> int:
-    """How deep the interval source of ``node`` nests parentheses, found
-    by an iterative walk, so that a tree of any depth is measured."""
-    deepest, stack = 0, [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Bin):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
-        elif isinstance(node, Unary):
-            stack.append((node.operand, depth + 1))
-        elif isinstance(node, Call):
-            stack.append((node.arg, depth + 1))
-        else:
-            deepest = max(deepest, depth if isinstance(node, Var) else depth + 2)
-    return deepest
-
-
 def _compile(node: Expr, variables: tuple[str, ...]):
     """Scalar, array and interval callables for ``node`` over ``variables``.
-    A tree nested deeper than Python compiles raises ValueError."""
-    nesting = _nesting(node)
-    if nesting > _MAX_NESTING:
-        raise ValueError(
-            f"expression nested too deeply: depth {nesting}, the limit is {_MAX_NESTING}"
-        )
+    The interval form is built first: it nests one parenthesis per
+    operation, at least as deep as the other two, so a tree deeper than
+    CPython compiles (200 parentheses) is refused there, and its
+    SyntaxError or RecursionError becomes ValueError."""
     params = [f"v{i}" for i in range(len(variables))]
     names = dict(zip(variables, params))
-    compiled = []
-    for prefix in ("_s_", "_a_", "_i_"):
-        body = f"return {_lower(node, names, prefix)[0]}"
-        if prefix == "_a_":
-            body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
-        scope: dict = {}
-        exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
-        compiled.append(scope["fn"])
-    return tuple(compiled)
-
-
-@functools.lru_cache(maxsize=256)
-def _spec(node: Expr, variables: tuple[str, ...]) -> "FuncSpec":
-    return FuncSpec(node, variables)
-
-
-def eval_expr(node: Expr, assignment: dict) -> float:
-    """Evaluate the AST at a point of floats or numpy arrays.
-
-    The compiled form is cached per (node, variable names).  Raises
-    EvaluationError on domain violations (division by zero, log of a
-    nonpositive value, 0^negative) and on non-finite results.
-    """
-    return _spec(node, tuple(assignment)).evaluate(*assignment.values())
+    compiled = {}
+    try:
+        for prefix in ("_i_", "_s_", "_a_"):
+            body = f"return {_lower(node, names, prefix)[0]}"
+            if prefix == "_a_":
+                body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
+            scope: dict = {}
+            exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
+            compiled[prefix] = scope["fn"]
+    except (SyntaxError, RecursionError):
+        raise ValueError("expression nested too deeply for Python to compile") from None
+    return compiled["_s_"], compiled["_a_"], compiled["_i_"]
 
 
 # --- function specifications ------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .continuous import KeyGrid, LatticeSolver, ReconstructedFunction
+from .continuous import LatticeSolver, ReconstructedFunction
 from .expressions import _sample
 from .rational import format_rational
 
@@ -259,15 +259,6 @@ def _layout(deltas, domain, grid_step: float, advice: str = "") -> tuple[np.ndar
     return np.linspace(a, b, nx + 1), np.linspace(c, d, ny + 1)
 
 
-def _moduli(fn, deltas, domain, grid_step: float) -> tuple[float, list[float]]:
-    """The grid step along x and, for each delta, the window maximum of fn
-    on one grid laid out (and refused) by ``_layout``."""
-    xs, ys = _layout(deltas, domain, grid_step)
-    sx, sy = float(xs[1] - xs[0]), float(ys[1] - ys[0])
-    vals = _grid(fn, xs, ys)
-    return sx, [_window_max_2d(vals, sx, sy, float(t)) for t in deltas]
-
-
 def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
     """Grid lower estimate of sup |fn(a) - fn(b)| over |a - b| <= delta on
     the box ``domain`` = ((a, b), (c, d)), with Euclidean distances.
@@ -284,7 +275,8 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
         raise ValueError("delta and grid_step must be positive")
     if grid_step > delta:
         raise ValueError("grid_step must not exceed delta")
-    return _moduli(fn, [delta], domain, grid_step)[1][0]
+    xs, ys = _layout([delta], domain, grid_step)
+    return _window_max_2d(_grid(fn, xs, ys), float(xs[1] - xs[0]), float(ys[1] - ys[0]), delta)
 
 
 def modulus_probe(fn, delta: float, domain) -> float:
@@ -327,41 +319,26 @@ def modulus_probe(fn, delta: float, domain) -> float:
 
 # --- bound checks ------------------------------------------------------
 
-def _kernel_grid(deltas, M: int, f_step: float):
-    """The deltas and the kernel grid (box, step) of the bound checks on
-    [-M, M] for f sampled with widest gap ``f_step``.  Whatever these
-    alone rule out is refused here, before any key is built."""
+def _plan(deltas, M: int, gap: Fraction) -> tuple[list[Fraction], tuple[np.ndarray, np.ndarray]]:
+    """The deltas and the axes of the kernel grid of the bound checks on
+    [-M, M], for f sampled with the exact widest gap ``gap``.  Every
+    refusal that these inputs decide is made here: a delta outside
+    (0, 1/2), a kernel grid over the limits (``_layout``), and samples too
+    coarse for a delta, ``gap > delta`` exactly.  verify-bound calls it
+    with ``grid_gap`` before any key is built, and check_bound_c0 with its
+    keys' widest gap before F is evaluated."""
     ds = [Fraction(d) for d in deltas]
     for d in ds:
         if not 0 < d < Fraction(1, 2):
             raise ValueError(f"delta must lie in (0, 1/2), got {d}")
     if not ds:
         raise ValueError("need at least one delta")
-    kernel_grid = ((-M, M), (-M, M)), f_step / 4.0
-    _layout(ds, *kernel_grid, "; sample f more coarsely or on a smaller [-M, M]")
-    return ds, kernel_grid
-
-
-def _bound_sampling(keys: KeyGrid, deltas, M: int):
-    """The deltas, the keys in [-M, M] (a slice, and as floats) and the
-    kernel grid (box, step): what check_bound_c0 reads from the keys alone.
-    Whatever the keys alone rule out is refused here, before F is evaluated."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    pairs = keys.pairs  # sorted, so the keys in [-M, M] are one slice
-    rows = slice(
-        bisect_left(pairs, True, key=lambda p: p[0] >= -M * p[1]),
-        bisect_left(pairs, True, key=lambda p: p[0] > M * p[1]),
-    )
-    kf = np.array([num / den for num, den in pairs[rows]])
-    if len(kf) < 2:
-        raise ValueError("sample table too small on [-M, M]")
-    f_step = float(np.max(np.diff(kf)))
-    ds, kernel_grid = _kernel_grid(deltas, M, f_step)
+    box = ((-M, M), (-M, M))
+    axes = _layout(ds, box, float(gap) / 4.0, "; sample f more coarsely or on a smaller [-M, M]")
     for d in ds:
-        if f_step > float(d):
-            raise ValueError(f"sample spacing {f_step} too coarse for delta {d}")
-    return ds, rows, kf, kernel_grid
+        if gap > d:
+            raise ValueError(f"sample spacing {float(gap)} too coarse for delta {d}")
+    return ds, axes
 
 
 def _bound(check: str, params: dict, lhs: float, rhs: float, tol: float) -> CheckResult:
@@ -385,13 +362,31 @@ def check_bound_c0(
     that |h(delta)| <= 2 * omega(H; delta) on the unit square, where
     h = f + F(0,0) is the normalized lattice solution.
 
-    Inputs that the table's keys rule out, a kernel grid over the limits
-    among them, raise ValueError before F is evaluated.  A kernel value on
-    the grid that is not finite raises EvaluationError.
+    The exact widest gap of the table's keys on [-M, M] decides, in
+    ``_plan``, every refusal (a delta out of range, a kernel grid over the
+    limits, samples too coarse for a delta) with ValueError before F is
+    evaluated.  A kernel value on the grid that is not finite raises
+    EvaluationError.
     """
-    ds, rows, kf, kernel_grid = _bound_sampling(table.keys, deltas, M)
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    pairs = table.keys.pairs  # sorted, so the keys in [-M, M] are one slice
+    rows = slice(
+        bisect_left(pairs, True, key=lambda p: p[0] >= -M * p[1]),
+        bisect_left(pairs, True, key=lambda p: p[0] > M * p[1]),
+    )
+    pairs = pairs[rows]
+    if len(pairs) < 2:
+        raise ValueError("sample table too small on [-M, M]")
+    gn, gd = 0, 1  # the widest gap r/s - p/q, exactly, by cross-multiplying
+    for (p, q), (r, s) in zip(pairs, pairs[1:]):
+        if (r * q - p * s) * gd > gn * q * s:
+            gn, gd = r * q - p * s, q * s
+    ds, (xs, ys) = _plan(deltas, M, Fraction(gn, gd))
+    kf = np.array([num / den for num, den in pairs])
     vf = np.array(table.values[rows])
-    kernel_step, kernel_moduli = _moduli(F, ds, *kernel_grid)
+    kernel_step, sy = float(xs[1] - xs[0]), float(ys[1] - ys[0])
+    kernel_vals = _grid(F, xs, ys)
 
     solver = LatticeSolver(F)
 
@@ -400,8 +395,9 @@ def check_bound_c0(
 
     unit_box = ((0.0, 1.0), (0.0, 1.0))
     results: list[CheckResult] = []
-    for d, kernel_modulus in zip(ds, kernel_moduli):
+    for d in ds:
         df = float(d)
+        kernel_modulus = _window_max_2d(kernel_vals, kernel_step, sy, df)
         # reconstruction side: pairs of stored samples within delta
         left = 0.0
         j = 0

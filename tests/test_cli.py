@@ -120,8 +120,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "expr,message",
         [
-            ("+".join(["x*y"] * 201), "expression nested too deeply: depth 201, the limit is 200"),
-            ("+".join(["x*y"] * 1000), "expression nested too deeply: depth 1000, the limit is 200"),
+            ("+".join(["x*y"] * 201), "expression nested too deeply for Python to compile\n"),
+            ("+".join(["x*y"] * 1000), "expression nested too deeply for Python to compile\n"),
             ("(" * 198 + "x*y" + ")" * 198, "expression nested too deeply (offset "),
             ("exp(" * 198 + "x*y" + ")" * 198, "expression nested too deeply (offset "),
         ],
@@ -131,6 +131,22 @@ class TestExitCodes:
         code, out, err = run_out(["check", "--expr", expr], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--seed", "square", "--dyadic-level", "70", "--interval", "0", "1"],
+            ["verify-bound", "--seed", "square", "--delta", "1/4", "--engine", "dyadic",
+             "--denominators", "1" + "0" * 400],
+        ],
+        ids=["level-70", "denominators-10^400"],
+    )
+    def test_key_count_past_2_63_is_two(self, argv, capsys):
+        # the candidate keys are counted from each span's ends, not by len()
+        code, out, err = run_out(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid on [") and err.count("\n") == 1
+        assert err.endswith("; the limit is 1000000\n")
 
     def test_150_term_sum_runs(self, capsys):
         code, out, err = run_out(["check", "--expr", "+".join(["x*y"] * 150), "--samples", "20"], capsys)
@@ -318,6 +334,29 @@ class TestExitCodes:
             "14745623040009 cell passes (limit 2147483648); sample f more coarsely or on a "
             "smaller [-M, M]\n"
         )
+
+    def test_coarse_samples_refused_before_the_keys(self, monkeypatch, capsys):
+        # the exact widest gap 1/4 follows from --denominators alone
+        def grid_keys(*args, **kwargs):
+            raise AssertionError("keys were built")
+
+        monkeypatch.setattr(cli, "grid_keys", grid_keys)
+        argv = ["verify-bound", "--seed", "square", "--delta", "1/16", "--denominators", "4"]
+        code, out, err = run_out(argv, capsys)
+        assert (code, out, err) == (2, "", "error: sample spacing 0.25 too coarse for delta 1/16\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--delta", "1/3", "--denominators", "3"],
+         ["--delta", "1/7", "--denominators", "7", "--box", "3"]],
+        ids=["1/3", "1/7-box-3"],
+    )
+    def test_spacing_equal_to_delta_is_admitted(self, argv, capsys):
+        # the widest gap is exactly delta, though the float gaps of the
+        # keys round above it
+        code, out, err = run_out(["verify-bound", "--seed", "square", *argv], capsys)
+        assert (code, err) == (0, "")
+        assert [json.loads(line)["pass"] for line in out.splitlines()] == [True, True]
 
     def test_quadrature_error_names_where_it_stopped(self, capsys):
         argv = ["reconstruct", "--seed", "expo", "--interval", "0", "1", "--dyadic-level", "3",

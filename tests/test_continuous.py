@@ -576,7 +576,8 @@ class TestGridKeys:
     )
     def test_grid_gap_is_the_widest_gap(self, M, grid):
         keys = list(grid_keys((-M, M), **grid))
-        assert grid_gap((-M, M), **grid) == float(max(b - a for a, b in zip(keys, keys[1:])))
+        gap = grid_gap((-M, M), **grid)
+        assert type(gap) is Fraction and gap == max(b - a for a, b in zip(keys, keys[1:]))
 
     def test_grid_gap_refusals(self, monkeypatch):
         with pytest.raises(ValueError, match="integer endpoints"):
@@ -623,6 +624,7 @@ class TestGridKeys:
             ((-(10**6) - 1e-3, -(10**6)), 2000),
             ((2**60, 2**60 + 1), 3),  # distinct keys that round to one float
             ((-(2**55) - 1, -(2**55) + 1), 5),
+            ((2**60, 2**60 + 1), 200),  # 12,233 keys, all rounding to one float
         ],
     )
     def test_near_equal_neighbours_in_exact_order(self, interval, bound):
@@ -636,6 +638,21 @@ class TestGridKeys:
         assert list(keys)[1:3] == [Fraction(-2, 3), Fraction(-1, 2)]
         assert Fraction(1, 3) in keys and len(keys) == 9
         assert keys == tuple(keys) and keys != list(keys)[1:]
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ({"denominators": 1414}, "has at least 1000404 candidate keys p/q with q up to 1414"),
+            ({"dyadic_level": 70}, "has at least 1180591620717411303425 candidate keys k/2^70"),
+        ],
+        ids=["farey-1414", "dyadic-70"],
+    )
+    def test_key_limit_names_what_it_counts(self, grid, message):
+        # every multiple of 1/q is a candidate, reduced or not: the Farey
+        # grid of 1414 holds 608,001 keys but 1,001,819 candidates
+        with pytest.raises(ValueError) as exc:
+            grid_keys((0, 1), **grid)
+        assert str(exc.value) == f"grid on [0, 1] {message}; the limit is 1000000"
 
     def test_huge_grids_refused_at_once(self):
         start = time.perf_counter()

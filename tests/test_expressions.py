@@ -18,7 +18,6 @@ from cocycle import (
     bivariate_expression,
     builtin_seed,
     cocycle_from_seed,
-    eval_expr,
     parse_expr,
     seed_expression,
 )
@@ -83,7 +82,8 @@ def _finite(out):
 
 
 def reference(node, env):
-    """The old eval_expr: numpy errors and non-finite results raise."""
+    """The former tree-walking evaluator: numpy errors and non-finite
+    results raise."""
     if any(isinstance(v, np.ndarray) for v in env.values()):
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
@@ -256,8 +256,7 @@ point_arrays = st.lists(points, min_size=1, max_size=5).map(np.array)
 
 
 def ev(src, **env):
-    node = parse_expr(src, variables=tuple(env))
-    return eval_expr(node, env)
+    return FuncSpec(parse_expr(src, variables=tuple(env)), tuple(env))(*env.values())
 
 
 class TestParseEval:
@@ -362,23 +361,21 @@ class TestEvaluationErrors:
             ev("exp(x)", x=1e6)
 
     def test_array_pole_reported(self):
-        node = parse_expr("1/x", variables=("x",))
         with pytest.raises(EvaluationError):
-            eval_expr(node, {"x": np.array([1.0, 0.0, 2.0])})
+            ev("1/x", x=np.array([1.0, 0.0, 2.0]))
 
 
 class TestArrayEvaluation:
     def test_matches_scalar_path(self):
-        node = parse_expr("exp(x) - x^3 + sin(x)/2", variables=("x",))
+        src = "exp(x) - x^3 + sin(x)/2"
         xs = np.linspace(-2, 2, 17)
-        vec = eval_expr(node, {"x": xs})
-        scal = np.array([eval_expr(node, {"x": float(x)}) for x in xs])
+        vec = ev(src, x=xs)
+        scal = np.array([ev(src, x=float(x)) for x in xs])
         assert np.allclose(vec, scal, rtol=0, atol=1e-15)
 
     def test_mixed_scalar_array(self):
-        node = parse_expr("2*x*y", variables=("x", "y"))
         ys = np.array([1.0, 2.0, 3.0])
-        out = eval_expr(node, {"x": 0.5, "y": ys})
+        out = ev("2*x*y", x=0.5, y=ys)
         assert np.array_equal(out, np.array([1.0, 2.0, 3.0]))
 
 
@@ -420,13 +417,6 @@ class TestCompiledMatchesReference:
         # 1/0 is inf and 1/inf is 0 again, so the end result is finite
         with pytest.raises(EvaluationError):
             bivariate_expression(src)(np.array([0.0, 1.0]), 1.0)
-
-    def test_eval_expr_matches_funcspec(self):
-        node = parse_expr("x^2 - sin(y)/3")
-        F = bivariate_expression("x^2 - sin(y)/3")
-        ys = np.linspace(-1, 1, 7)
-        assert eval_expr(node, {"x": 0.5, "y": 2.0}) == F(0.5, 2.0)
-        assert np.array_equal(eval_expr(node, {"x": 0.5, "y": ys}), F(0.5, ys))
 
 
 class TestCallCost:
@@ -472,11 +462,9 @@ class TestPretty:
     def test_value_preserved(self):
         src = "-(x + 1)^2/(y - 3) + x*y"
         node = parse_expr(src, variables=("x", "y"))
-        rendered = parse_expr(pretty(node), variables=("x", "y"))
+        F, G = (FuncSpec(n, ("x", "y")) for n in (node, parse_expr(pretty(node), variables=("x", "y"))))
         for x, y in [(0.5, 1.25), (-2.0, 7.0), (3.0, 0.0)]:
-            assert eval_expr(node, {"x": x, "y": y}) == eval_expr(
-                rendered, {"x": x, "y": y}
-            )
+            assert F(x, y) == G(x, y)
 
 
 class TestFuncSpec:
@@ -687,7 +675,22 @@ class TestDepthLimit:
         node = Var("x")
         for _ in range(10_000):
             node = Bin("+", node, Var("y"))
-        with pytest.raises(ValueError, match="depth 10000, the limit is 200"):
+        with pytest.raises(ValueError, match="nested too deeply for Python to compile"):
+            FuncSpec(node, ("x", "y"))
+
+    @pytest.mark.parametrize("depth", [201, 990, 3000])
+    @pytest.mark.parametrize(
+        "wrap",
+        [Unary, lambda n: Bin("+", n, Var("y")), lambda n: Call("exp", n), lambda n: Bin("^", Var("y"), n)],
+        ids=["neg", "add", "exp", "pow"],
+    )
+    def test_chain_built_in_code(self, wrap, depth):
+        # past CPython's 200 parentheses or the interpreter's stack, each
+        # chain is refused with ValueError, never RecursionError
+        node = Var("x")
+        for _ in range(depth):
+            node = wrap(node)
+        with pytest.raises(ValueError, match="nested too deeply"):
             FuncSpec(node, ("x", "y"))
 
     @pytest.mark.parametrize("opening", ["(", "exp("])

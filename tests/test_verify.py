@@ -499,25 +499,45 @@ class TestBoundChecks:
         [(3, "denominators", range(120, 122)), (9, "denominators", range(40, 42)),
          (45, "denominators", range(8, 10)), (1, "dyadic_level", range(8, 10))],
     )
-    def test_grid_gap_lays_out_the_keys_kernel_grid(self, M, grid, densities):
-        # verify-bound lays out the kernel grid from grid_gap before the
-        # keys exist, and again from the keys' float gaps: on both sides of
-        # the cell limit (about 2,896 points per axis) the two agree
-        def outcome(f_step):
-            # a small delta, so that the cell limit decides
-            try:
-                xs, _ = verify._layout([Fraction(1, 10**4)], ((-M, M), (-M, M)), f_step / 4.0)
-            except ValueError as exc:
-                return str(exc)
-            return len(xs)
+    def test_grid_gap_lays_out_the_keys_kernel_grid(self, M, grid, densities, monkeypatch):
+        # verify-bound plans the kernel grid from grid_gap before the keys
+        # exist, and check_bound_c0 again from the keys' exact widest gap:
+        # the two gaps are equal, on both sides of the cell limit (about
+        # 2,896 points per axis)
+        gaps, plan = [], verify._plan
 
-        outcomes = []
+        def spy(deltas, M, gap):
+            gaps.append(gap)
+            return plan(deltas, M, gap)
+
+        monkeypatch.setattr(verify, "_plan", spy)
+        messages = []
         for density in densities:
-            keys = grid_keys((-M, M), **{grid: density})
-            kf = np.array([num / den for num, den in keys.pairs])
-            outcomes.append(outcome(grid_gap((-M, M), **{grid: density})))
-            assert outcomes[-1] == outcome(float(np.max(np.diff(kf))))
-        assert isinstance(outcomes[0], int) and "kernel grid too large" in outcomes[-1]
+            table = self._zero_table(grid_keys((-M, M), **{grid: density}))
+            # a small delta: the cell limit decides, or else the spacing
+            with pytest.raises(ValueError) as exc:
+                check_bound_c0(F_BILINEAR, table, [Fraction(1, 10**4)], M)
+            messages.append(str(exc.value))
+            assert gaps[-1] == grid_gap((-M, M), **{grid: density})
+        assert "too coarse" in messages[0] and "kernel grid too large" in messages[-1]
+
+    def test_spacing_equal_to_delta_admitted(self):
+        # the keys' float gaps reach 0.33333333333333337; the exact gap is 1/3
+        table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=3))
+        report = check_bound_c0(F_BILINEAR, table, [Fraction(1, 3)], 1)
+        assert report.passed and len(report.results) == 2
+
+    def test_kernel_grid_laid_out_once(self, monkeypatch):
+        layouts, layout = [], verify._layout
+
+        def spy(deltas, domain, *args):
+            layouts.append(domain)
+            return layout(deltas, domain, *args)
+
+        monkeypatch.setattr(verify, "_layout", spy)
+        table = reconstruct_table(F_BILINEAR, grid_keys((-2, 2), denominators=16))
+        check_bound_c0(F_BILINEAR, table, [Fraction(1, 4), Fraction(1, 8)], 2)
+        assert layouts.count(((-2, 2), (-2, 2))) == 1
 
     def test_coarse_second_delta_refused_before_F(self):
         # f is sampled at gaps up to 1/8: fine for 1/4, too coarse for 1/16
