@@ -38,8 +38,10 @@ S(1) <= 3 * osc(F; [-1, 1]^2), the factor-3 transfer bound, that makes
 
 computable from interval enclosures of F alone (FuncSpec.enclose): one
 at (t_j, d) and one on [-r, r]^2 per dyadic scale r, which the solver
-caches.  The bound holds in real arithmetic; it does not cover the
-rounding inside the lattice recursion that computes f(t_j).
+caches.  The bound needs no value of f, so levels are scanned on it
+alone, and the lattice is walked once per target, at the level returned.
+The bound holds in real arithmetic; it does not cover the rounding inside
+the lattice recursion that computes f(t_j).
 """
 
 from __future__ import annotations
@@ -253,11 +255,15 @@ class LatticeSolver:
             S.append(_up(_up(S[-1] + self._H_abs((-r, r), (-r, r))) / 2.0))
         return S[n]
 
-    def _limit_bound(self, q: Fraction, d: Fraction) -> float:
+    def _limit_bound(self, q: Fraction, d: Fraction, cutoff: float = math.inf) -> float:
         """An upper bound of |f(q + d) - f(q)| = |H(q, d) + h(d)| for
-        0 < |d| <= 1."""
+        0 < |d| <= 1; inf, without enclosing H(q, d), when the bound
+        S(|d|) of |h(d)| alone exceeds ``cutoff``."""
         n = (d.denominator // abs(d.numerator)).bit_length() - 1  # the largest n with |d| <= 2**-n
-        return _up(self._H_abs(_bracket(q), _bracket(d)) + self._h_bound(n))
+        s = self._h_bound(n)
+        if s > cutoff:
+            return math.inf
+        return _up(self._H_abs(_bracket(q), _bracket(d)) + s)
 
 
 def _chain_next(p: int, n: int) -> tuple[int, int]:
@@ -324,19 +330,26 @@ def reconstruct_point(
     """Value of the reconstructed f at a single point.
 
     Exact inputs (int or Fraction) are answered on the rational lattice.
-    Floats are treated as real targets: f is evaluated at the dyadic
-    approximants t_j (level j = 1, 2, ...) and f(t_j) is returned at the
-    first level where the certified bound |H(t_j, d)| + S(|d|) on
-    |f(t) - f(t_j)|, d = t - t_j (module docstring), is at most epsilon.
-    The bound is built from interval enclosures of F, so F must be a
-    FuncSpec; a float target with any other callable raises ValueError.
-    It holds in real arithmetic and does not cover the rounding of the
-    lattice recursion that computes f(t_j).  Raises ConvergenceError,
-    with the value of least bound and that bound, if no level up to
-    max_depth meets epsilon.
+    Floats are treated as real targets, approximated by the dyadic t_j
+    nearest t at levels j = 1, 2, ...  The levels are scanned on the
+    certified bound |H(t_j, d)| + S(|d|) on |f(t) - f(t_j)|, d = t - t_j
+    (module docstring), alone; a level whose S(|d|) exceeds epsilon fails
+    without enclosing H(t_j, d).  The lattice is then walked once, for
+    f(t_j) at the first level whose bound is at most epsilon.  If none up
+    to max_depth is, the walk is at the level of least bound (the later on
+    a tie), and ConvergenceError carries its value and that bound.  An
+    EvaluationError names a lattice point of that walk.  The bound is
+    built from interval enclosures of F, so F must be a FuncSpec; a float
+    target with any other callable raises ValueError.  It holds in real
+    arithmetic and does not cover the rounding of the lattice recursion
+    that computes f(t_j).  A shared ``solver`` shares its h cache and its
+    S bounds.  ValueError also answers a NaN or non-positive epsilon and
+    a max_depth below 1.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     solver = solver or LatticeSolver(F)
     if isinstance(t, (int, Fraction)):
         return solver.f_value(Fraction(t))
@@ -349,22 +362,22 @@ def reconstruct_point(
             "limit; pass an int or Fraction target for another callable"
         )
     exact = Fraction(tf)
-    best: float | None = None
-    bound = math.inf
-    for level in range(1, max_depth + 1):
+    levels = range(1, max_depth + 1)
+    for level in levels:
         q = _dyadic_round(tf, level)
-        val = solver.f_value(q, engine="dyadic")
         d = exact - q
-        if d == 0:
-            return val
-        level_bound = solver._limit_bound(q, d)
-        if level_bound <= epsilon:
-            return val
-        if best is None or level_bound <= bound:
-            best, bound = val, level_bound
+        if d == 0 or solver._limit_bound(q, d, epsilon) <= epsilon:
+            return solver.f_value(q, engine="dyadic")
+    # no level met epsilon: the least full bound, ties to the later level
+    best_level, bound = 1, math.inf
+    for level in levels:
+        q = _dyadic_round(tf, level)
+        level_bound = solver._limit_bound(q, exact - q)
+        if level == 1 or level_bound <= bound:
+            best_level, bound = level, level_bound
     raise ConvergenceError(
         f"no convergence within {max_depth} levels (achieved bound {bound:.3g})",
-        best=best,
+        best=solver.f_value(_dyadic_round(tf, best_level), engine="dyadic"),
         bound=bound,
     )
 

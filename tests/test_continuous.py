@@ -121,6 +121,33 @@ KERNELS = {
 }
 
 
+def reference_point(F, t: float, epsilon: float = 1e-6, *, max_depth: int = 64) -> float:
+    """The level-by-level limit that reconstruct_point replaced, kept as
+    the reference for its outcomes: f(t_j) at every level j, returned at
+    the first whose bound meets epsilon, else ConvergenceError with the
+    value of least bound, ties going to the later level."""
+    solver = LatticeSolver(F)
+    exact = Fraction(t)
+    best: float | None = None
+    bound = math.inf
+    for level in range(1, max_depth + 1):
+        q = continuous._dyadic_round(t, level)
+        val = solver.f_value(q, engine="dyadic")
+        d = exact - q
+        if d == 0:
+            return val
+        level_bound = solver._limit_bound(q, d)
+        if level_bound <= epsilon:
+            return val
+        if best is None or level_bound <= bound:
+            best, bound = val, level_bound
+    raise ConvergenceError(
+        f"no convergence within {max_depth} levels (achieved bound {bound:.3g})",
+        best=best,
+        bound=bound,
+    )
+
+
 
 def rationals_up_to(max_den: int):
     """Reduced rationals with |t| up to 5 and denominators up to max_den."""
@@ -354,6 +381,15 @@ class TestReconstructPoint:
         with pytest.raises(ValueError):
             reconstruct_point(F_BILINEAR, math.nan)
 
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            reconstruct_point(F_BILINEAR, 1.3, epsilon=math.nan)
+
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_rejects_max_depth_below_one(self, max_depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            reconstruct_point(F_BILINEAR, 1.3, max_depth=max_depth)
+
     def test_hoelder_target(self):
         F = seed_kernel("hoelder")
         oracle = oracle_solution("hoelder")
@@ -431,6 +467,60 @@ class TestReconstructPoint:
         got = reconstruct_point(seed_kernel("sine"), 0.3, epsilon=1e-6)
         assert abs(got - oracle_solution("sine")(0.3)) <= 1e-6
         assert not hasattr(LatticeSolver(F_BILINEAR), "_omega")
+
+
+def _point_outcome(point, F, t, epsilon, max_depth):
+    """The value, ConvergenceError's best, bound and message, or only
+    the fact of an EvaluationError, whose lattice point may differ."""
+    try:
+        return point(F, t, epsilon=epsilon, max_depth=max_depth)
+    except ConvergenceError as exc:
+        return ("convergence", exc.best, exc.bound, str(exc))
+    except EvaluationError:
+        return ("evaluation",)
+
+
+POINT_KERNELS = {**{name: seed_kernel(name) for name in ALL_SEEDS}, "2*x*y": F_BILINEAR}
+far_targets = st.floats(1e3, 5e3, exclude_max=True).flatmap(
+    lambda t: st.sampled_from([t, -t])
+)
+
+
+class TestLimitWalk:
+    @given(
+        st.sampled_from(sorted(POINT_KERNELS)),
+        st.one_of(st.floats(-4, 4), far_targets),
+        st.sampled_from([1e-4, 1e-6, 1e-9, 1e-12]),
+        st.sampled_from([6, 12, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_level_by_level_reference(self, name, t, epsilon, max_depth):
+        F = POINT_KERNELS[name]
+        got = _point_outcome(reconstruct_point, F, t, epsilon, max_depth)
+        assert got == _point_outcome(reference_point, F, t, epsilon, max_depth)
+
+    @pytest.mark.parametrize("name,t", [("sine", 4924.6281), ("cube", 25000.123)])
+    def test_one_walk_per_point(self, monkeypatch, name, t):
+        # the bound needs no value of f, so the lattice is walked once, at
+        # the level returned: 61 and 73 kernel calls, where a walk at every
+        # level took 337 and 460
+        kernel, f_value = LatticeSolver._kernel, LatticeSolver.f_value
+        calls = {"kernel": 0, "f_value": 0}
+
+        def counted_kernel(self, *args):
+            calls["kernel"] += 1
+            return kernel(self, *args)
+
+        def counted_f_value(self, *args, **kwargs):
+            calls["f_value"] += 1
+            return f_value(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatticeSolver, "_kernel", counted_kernel)
+        monkeypatch.setattr(LatticeSolver, "f_value", counted_f_value)
+        got = reconstruct_point(seed_kernel(name), t, epsilon=1e-6)
+        assert calls["f_value"] == 1
+        assert calls["kernel"] < 100
+        assert got == reference_point(seed_kernel(name), t)
 
 
 class TestIntegerPart:
