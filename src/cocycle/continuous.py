@@ -548,7 +548,8 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     """The denominators of a grid and, as ``span(den)``, its numerators
     over each; grids of more than MAX_GRID_KEYS candidate keys (every
     multiple of 1/den in [a, b], reduced or not) are refused here, before
-    any key is built."""
+    any key is built, and so are more than MAX_GRID_KEYS denominators,
+    whose scan costs as much where the interval holds no key."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
     if any(isinstance(x, float) and not math.isfinite(x) for x in interval):
@@ -565,6 +566,11 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     if denominators is not None:
         if denominators < 1:
             raise ValueError("denominator bound must be >= 1")
+        if denominators > MAX_GRID_KEYS:
+            raise ValueError(
+                f"grid on [{a}, {b}] has {denominators} denominators q to scan for keys p/q; "
+                f"the limit is {MAX_GRID_KEYS}"
+            )
         dens, form = range(1, denominators + 1), f"p/q with q up to {denominators}"
     else:
         if dyadic_level < 0:
@@ -592,10 +598,10 @@ def grid_keys(
 ) -> KeyGrid:
     """Reduced rationals in [a, b]: all with denominator <= N, or all
     multiples of 2**-level, in increasing order.  Grids of more than
-    MAX_GRID_KEYS candidate keys are rejected with ValueError before any
-    key is built.  Two distinct keys p/q and r/s with q, s <= N differ by
-    at least 1/(qs) >= 1/N^2, so floor(N^2 * p/q), an integer, orders the
-    keys exactly, without a tie."""
+    MAX_GRID_KEYS candidate keys or denominators are rejected with
+    ValueError before any key is built.  Two distinct keys p/q and r/s
+    with q, s <= N differ by at least 1/(qs) >= 1/N^2, so
+    floor(N^2 * p/q), an integer, orders the keys exactly, without a tie."""
     dens, span = _grid_spans(interval, denominators, dyadic_level)
     if dyadic_level is not None:
         (den,) = dens

@@ -475,6 +475,8 @@ class FuncSpec:
     _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"variable names must be distinct, got {', '.join(self.variables)}")
         object.__setattr__(self, "arity", len(self.variables))
         object.__setattr__(self, "_compiled", _compile(self.ast, self.variables))
 

@@ -398,16 +398,14 @@ def check_bound_c0(
     for d in ds:
         df = float(d)
         kernel_modulus = _window_max_2d(kernel_vals, kernel_step, sy, df)
-        # reconstruction side: pairs of stored samples within delta
+        # reconstruction side: pairs of stored samples within delta, one pass
+        # per key offset k, up to the first k with none (the keys are sorted)
         left = 0.0
-        j = 0
-        for i in range(len(kf)):
-            j = max(j, i + 1)
-            while j < len(kf) and kf[j] - kf[i] <= df + 1e-12:
-                j += 1
-            if j > i + 1:
-                window = vf[i + 1 : j]
-                left = max(left, float(np.max(np.abs(window - vf[i]))))
+        for k in range(1, len(kf)):
+            near = kf[k:] - kf[:-k] <= df + 1e-12
+            if not near.any():
+                break
+            left = max(left, float(np.abs(vf[k:] - vf[:-k])[near].max()))
         params = {"delta": d, "M": M, "grid_step": kernel_step}
         results.append(_bound("modulus-bound", params, left, 3.0 * kernel_modulus, tolerance))
         # lattice side: |h(p/n)| against twice the kernel modulus at p/n

@@ -102,6 +102,19 @@ class TestExitCodes:
         assert "limit is 1000000" in err
         assert time.perf_counter() - start < 2.0
 
+    def test_denominator_bound_over_the_limit_is_two(self, capsys):
+        # the interval holds no key; the bound alone is refused, at once
+        start = time.perf_counter()
+        code, out, err = run_out(
+            ["reconstruct", "--seed", "square", "--interval", "0.3000000001", "0.3000000002",
+             "--denominators", "1000001"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid on [") and err.count("\n") == 1
+        assert err.endswith("] has 1000001 denominators q to scan for keys p/q; the limit is 1000000\n")
+        assert time.perf_counter() - start < 0.1
+
     def test_row_work_over_the_limit_is_two(self, monkeypatch, capsys):
         # 100,001 keys 1/n, n up to 600,000, whose rows hold about n terms
         # each; with a limit of 10**6 the second row is refused
@@ -622,6 +635,15 @@ class TestSeedVariable:
         assert code == 0
         assert out == GOLDEN_QUARTER_CSV
 
+    def test_repeated_vars_refused(self, capsys):
+        code, out, err = run_out(
+            ["reconstruct", "--expr", "x*x", "--vars", "x,x", "--interval", "0", "1",
+             "--denominators", "2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: variable names must be distinct, got x, x\n"
+
     def test_cli_expr_takes_config_vars(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("vars=u,v\n", encoding="utf-8")
@@ -844,6 +866,15 @@ class TestReadme:
     def test_commands_found(self):
         assert len(README_COMMANDS) >= 8
         assert [code for _, code in README_COMMANDS].count(1) == 1
+
+    def test_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+        out = capsys.readouterr().out
+        assert [json.loads(line)["check"] for line in out.strip().splitlines()] == [
+            "modulus-bound", "lattice-bound"
+        ]
 
     @pytest.mark.parametrize(
         "argv,expected", README_COMMANDS, ids=[" ".join(a) for a, _ in README_COMMANDS]

@@ -752,6 +752,21 @@ class TestGridKeys:
             grid_keys((-2, 2), dyadic_level=60)
         assert time.perf_counter() - start < 2.0
 
+    def test_denominator_bound_over_the_limit_refused_at_once(self):
+        # the interval holds no key p/q with q up to 10**6, yet counting the
+        # candidates over each q takes about 2 s at that bound
+        tiny = (0.3000000001, 0.3000000002)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            grid_keys(tiny, denominators=continuous.MAX_GRID_KEYS + 1)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value).startswith("grid on [")
+        assert str(exc.value).endswith(
+            "] has 1000001 denominators q to scan for keys p/q; the limit is 1000000"
+        )
+        with pytest.raises(ValueError, match="1000001 denominators q to scan"):
+            grid_gap((0, 1), denominators=continuous.MAX_GRID_KEYS + 1)
+
 
 class TestTables:
     def test_known_quarter_grid(self):

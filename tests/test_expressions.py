@@ -501,6 +501,14 @@ class TestFuncSpec:
         assert G == F
         assert G(0.3, 0.7) == F(0.3, 0.7)
 
+    @pytest.mark.parametrize("src,names", [("x*x", ("x", "x")), ("2*y + 1", ("y", "y"))])
+    def test_repeated_variable_refused(self, src, names):
+        # the last name would bind: x*x over (x, x) at (2, 3) would be 9.0
+        with pytest.raises(ValueError, match="variable names must be distinct"):
+            bivariate_expression(src, names)
+        with pytest.raises(ValueError, match="variable names must be distinct"):
+            FuncSpec(parse_expr(src, names), names)
+
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             builtin_seed("gauss")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SEEDS, seed_kernel
@@ -27,6 +28,7 @@ from cocycle import (
     symmetry_residual,
 )
 from cocycle import verify
+from cocycle.continuous import KeyGrid
 from cocycle.verify import _window_max_2d
 
 F_BILINEAR = bivariate_expression("2*x*y")
@@ -526,6 +528,36 @@ class TestBoundChecks:
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=3))
         report = check_bound_c0(F_BILINEAR, table, [Fraction(1, 3)], 1)
         assert report.passed and len(report.results) == 2
+
+    @given(
+        st.sampled_from([3, 4, 8]),
+        st.integers(1, 3),
+        st.integers(-30, 20),
+        st.lists(st.tuples(st.integers(1, 3), st.floats(-1e6, 1e6)), min_size=1, max_size=80),
+        st.floats(-1e6, 1e6),
+    )
+    # 2/3 - 1/3 is 0.33333333333333337 in floats, over float(1/3): the pair
+    # counts only by the 1e-12 allowance
+    @example(3, 1, 0, [(1, 0.0), (1, 1.0)], 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_table_scan_equals_brute_force(self, q, m, start, steps, first):
+        # keys k/(mq) at steps of 1 to m: the widest gap is at most
+        # delta = 1/q, and keys m steps apart lie exactly delta apart
+        nums = itertools.accumulate((min(s, m) for s, _ in steps), initial=start)
+        keys = KeyGrid.of(Fraction(k, m * q) for k in nums)
+        values = [first] + [v for _, v in steps]
+        inside = [(p / d, v) for (p, d), v in zip(keys.pairs, values) if -d <= p <= d]
+        assume(len(inside) >= 2)
+        delta = Fraction(1, q)
+        want = max(
+            (abs(v - u) for (s, u), (t, v) in itertools.combinations(inside, 2)
+             if t - s <= float(delta) + 1e-12),
+            default=0.0,
+        )
+        table = ReconstructedFunction(keys=keys, values=values, engine="euclid-chain")
+        (row,) = (r for r in check_bound_c0(F_BILINEAR, table, [delta], 1).results
+                  if r.check == "modulus-bound")
+        assert row.lhs == want
 
     def test_kernel_grid_laid_out_once(self, monkeypatch):
         layouts, layout = [], verify._layout
