@@ -23,7 +23,6 @@ from fractions import Fraction
 from .continuous import (
     ENGINES,
     ConvergenceError,
-    LatticeSolver,
     grid_gap,
     grid_keys,
     h_rational,
@@ -238,11 +237,9 @@ def _cmd_bench(cfg: argparse.Namespace) -> int:
     value = h_rational(F, stress)
     chain_seconds = time.perf_counter() - t0
 
-    solver = LatticeSolver(F)
     keys = grid_keys((0, 1), dyadic_level=12)
     t0 = time.perf_counter()
-    for k in keys:
-        solver.h(k, "dyadic")
+    reconstruct_table(F, keys, engine="dyadic")
     grid_seconds = time.perf_counter() - t0
 
     payload = {

@@ -78,6 +78,10 @@ _VECTOR_MIN = 128
 # grid_keys refuses grids larger than this many keys.
 MAX_GRID_KEYS = 10**6
 
+# The finest dyadic grid: above it no key k/2^L with k odd is a float, so
+# F would be called at rounded points.
+MAX_DYADIC_LEVEL = 1074
+
 # One call of LatticeSolver.h or reconstruct_table refuses euclid-chain
 # row sums of more kernel terms than this, counted over all of its rows.
 MAX_ROW_TERMS = 1 << 25
@@ -257,13 +261,15 @@ class LatticeSolver:
 
     def _limit_bound(self, q: Fraction, d: Fraction, cutoff: float = math.inf) -> float:
         """An upper bound of |f(q + d) - f(q)| = |H(q, d) + h(d)| for
-        0 < |d| <= 1; inf, without enclosing H(q, d), when the bound
-        S(|d|) of |h(d)| alone exceeds ``cutoff``."""
+        0 < |d| <= 1 and q, d floats exactly, as at every level where t
+        has bits below the grid; inf, without enclosing H(q, d), when the
+        bound S(|d|) of |h(d)| alone exceeds ``cutoff``."""
         n = (d.denominator // abs(d.numerator)).bit_length() - 1  # the largest n with |d| <= 2**-n
         s = self._h_bound(n)
         if s > cutoff:
             return math.inf
-        return _up(self._H_abs(_bracket(q), _bracket(d)) + s)
+        x, y = float(q), float(d)
+        return _up(self._H_abs((x, x), (y, y)) + s)
 
 
 def _chain_next(p: int, n: int) -> tuple[int, int]:
@@ -277,20 +283,12 @@ def _up(v: float) -> float:
     return math.nextafter(v, math.inf)
 
 
-def _bracket(r: Fraction) -> tuple[float, float]:
-    """The float r as an interval: a point when exact, else one ulp each side."""
-    x = r.numerator / r.denominator
-    if x.as_integer_ratio() == (r.numerator, r.denominator):
-        return x, x
-    return math.nextafter(x, -math.inf), _up(x)
-
-
 def _check_engine(engine: str, pairs) -> None:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    bad = [Fraction(*p) for p in pairs if p[1] & (p[1] - 1)] if engine == "dyadic" else []
+    bad = next((p for p in pairs if p[1] & (p[1] - 1)), None) if engine == "dyadic" else None
     if bad:
-        raise ValueError(f"dyadic engine needs a power-of-two denominator, got {bad[0]}")
+        raise ValueError(f"dyadic engine needs a power-of-two denominator, got {Fraction(*bad)}")
 
 
 def h_rational(
@@ -362,22 +360,20 @@ def reconstruct_point(
             "limit; pass an int or Fraction target for another callable"
         )
     exact = Fraction(tf)
-    levels = range(1, max_depth + 1)
-    for level in levels:
+    scanned = []
+    for level in range(1, max_depth + 1):
+        if exact.denominator <= 1 << level:  # t on the grid; rounding it could overflow
+            return solver.f_value(exact, engine="dyadic")
         q = _dyadic_round(tf, level)
         d = exact - q
-        if d == 0 or solver._limit_bound(q, d, epsilon) <= epsilon:
+        if solver._limit_bound(q, d, epsilon) <= epsilon:
             return solver.f_value(q, engine="dyadic")
+        scanned.append((q, d))
     # no level met epsilon: the least full bound, ties to the later level
-    best_level, bound = 1, math.inf
-    for level in levels:
-        q = _dyadic_round(tf, level)
-        level_bound = solver._limit_bound(q, exact - q)
-        if level == 1 or level_bound <= bound:
-            best_level, bound = level, level_bound
+    bound, _, q = min((solver._limit_bound(q, d), -i, q) for i, (q, d) in enumerate(scanned))
     raise ConvergenceError(
         f"no convergence within {max_depth} levels (achieved bound {bound:.3g})",
-        best=solver.f_value(_dyadic_round(tf, best_level), engine="dyadic"),
+        best=solver.f_value(q, engine="dyadic"),
         bound=bound,
     )
 
@@ -549,7 +545,8 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     over each; grids of more than MAX_GRID_KEYS candidate keys (every
     multiple of 1/den in [a, b], reduced or not) are refused here, before
     any key is built, and so are more than MAX_GRID_KEYS denominators,
-    whose scan costs as much where the interval holds no key."""
+    whose scan costs as much where the interval holds no key, and dyadic
+    levels over MAX_DYADIC_LEVEL."""
     if (denominators is None) == (dyadic_level is None):
         raise ValueError("give exactly one of denominators or dyadic_level")
     if any(isinstance(x, float) and not math.isfinite(x) for x in interval):
@@ -575,7 +572,9 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     else:
         if dyadic_level < 0:
             raise ValueError("dyadic level must be >= 0")
-        dens, form = (1 << dyadic_level,), f"k/2^{dyadic_level}"
+        # a finer level is counted at MAX_DYADIC_LEVEL, a lower bound, and
+        # refused below: 2**level is never built
+        dens, form = (1 << min(dyadic_level, MAX_DYADIC_LEVEL),), f"k/2^{dyadic_level}"
     # the sum stops as soon as it passes the limit; a span's length is
     # taken from its ends, since len() of a range stops at 2^63
     total = 0
@@ -587,6 +586,8 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
                 f"grid on [{a}, {b}] has at least {total} candidate keys {form}; "
                 f"the limit is {MAX_GRID_KEYS}"
             )
+    if dyadic_level is not None and dyadic_level > MAX_DYADIC_LEVEL:
+        raise ValueError(f"dyadic level {dyadic_level} is over the limit {MAX_DYADIC_LEVEL}")
     return dens, span
 
 
@@ -598,10 +599,11 @@ def grid_keys(
 ) -> KeyGrid:
     """Reduced rationals in [a, b]: all with denominator <= N, or all
     multiples of 2**-level, in increasing order.  Grids of more than
-    MAX_GRID_KEYS candidate keys or denominators are rejected with
-    ValueError before any key is built.  Two distinct keys p/q and r/s
-    with q, s <= N differ by at least 1/(qs) >= 1/N^2, so
-    floor(N^2 * p/q), an integer, orders the keys exactly, without a tie."""
+    MAX_GRID_KEYS candidate keys or denominators, and dyadic levels over
+    MAX_DYADIC_LEVEL, are rejected with ValueError before any key is
+    built.  Two distinct keys p/q and r/s with q, s <= N differ by at
+    least 1/(qs) >= 1/N^2, so floor(N^2 * p/q), an integer, orders the
+    keys exactly, without a tie."""
     dens, span = _grid_spans(interval, denominators, dyadic_level)
     if dyadic_level is not None:
         (den,) = dens

@@ -120,14 +120,12 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
     xs = [num / den for num, den in grid.pairs]
     split = sum(num < 0 for num, _ in grid.pairs)  # the keys sort negatives first
     integral = [0.0] * len(xs)
-    acc, prev = 0.0, 0.0
-    for i in range(split, len(xs)):
-        acc += _integrate(h1, prev, xs[i], tol)
-        integral[i], prev = acc, xs[i]
-    acc, prev = 0.0, 0.0
-    for i in range(split - 1, -1, -1):
-        acc -= _integrate(h1, xs[i], prev, tol)
-        integral[i], prev = acc, xs[i]
+    for side in (range(split, len(xs)), range(split - 1, -1, -1)):
+        acc, prev = 0.0, 0.0
+        for i in side:
+            x = xs[i]
+            acc += _integrate(h1, prev, x, tol) if prev <= x else -_integrate(h1, x, prev, tol)
+            integral[i], prev = acc, x
     return ReconstructedFunction(
         keys=grid,
         values=[-_SQRT2 * v - f00 for v in integral],

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -101,6 +104,25 @@ class TestExitCodes:
         assert code == 2
         assert "limit is 1000000" in err
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "interval,message",
+        [
+            ("0 1", " candidate keys k/2^20000; the limit is 1000000\n"),
+            ("0 5e-324", "error: dyadic level 20000 is over the limit 1074\n"),
+        ],
+        ids=["unit", "one-subnormal-wide"],
+    )
+    def test_dyadic_level_over_1074_is_two(self, interval, message, capsys):
+        # a finer level is counted at level 1074, which refuses [0, 1]; a
+        # narrower interval passes the count and is refused for its level
+        code, out, err = run_out(
+            ["reconstruct", "--seed", "square", "--dyadic-level", "20000",
+             "--interval", *interval.split()],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
 
     def test_denominator_bound_over_the_limit_is_two(self, capsys):
         # the interval holds no key; the bound alone is refused, at once
@@ -720,6 +742,32 @@ class TestBenchCommand:
         assert obj["h_rational"]["point"] == "1/1000003"
         assert obj["h_rational"]["seconds"] >= 0.0
         assert obj["dyadic_grid"]["points"] == 4097
+
+
+class TestModuleEntryPoint:
+    """``python -m cocycle`` exits with ``run``'s code through ``cli.main``."""
+
+    @pytest.mark.parametrize(
+        "argv,code,stream,start",
+        [
+            (["--seed", "square"], 0, "stdout", '{"check": "kurepa"'),
+            (["--expr", "x*y^2"], 1, "stdout", '{"check": "kurepa"'),
+            ([], 2, "stderr", "error: exactly one of --expr or --seed is required\n"),
+        ],
+        ids=["pass", "fail", "no-function"],
+    )
+    def test_exit_codes(self, argv, code, stream, start):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cocycle", "check", *argv, "--samples", "5"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == code
+        assert getattr(proc, stream).startswith(start)
 
 
 class TestConfigFile:

@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SEEDS, oracle_solution, seed_kernel
@@ -293,6 +294,31 @@ class TestLatticeValues:
             h_rational(F, Fraction(1, 4))
         assert exc.value.point == (0.25, 0.25)
 
+    def test_kernel_overflow_carries_lattice_point(self):
+        # F is finite everywhere, yet H(1, 1/2) = 1e308 - (-1e308) overflows
+        with pytest.raises(EvaluationError) as exc:
+            h_rational(bivariate_expression("1e308*(2*x - 1)"), Fraction(3, 2))
+        assert str(exc.value) == "F non-finite at lattice point (1, 1/2)"
+        assert exc.value.point == (1.0, 0.5)
+
+    def test_non_finite_callable_carries_lattice_point(self):
+        def F(x, y):
+            return math.inf if (x, y) == (0.5, 0.5) else 2.0 * x * y
+
+        with pytest.raises(EvaluationError) as exc:
+            h_rational(F, Fraction(1, 2))
+        assert str(exc.value) == "F non-finite at lattice point (1/2, 1/2)"
+        assert exc.value.point == (0.5, 0.5)
+
+    def test_dyadic_refusal_stops_at_the_first_key(self):
+        # one Fraction for the first non-dyadic key, not one per such key
+        grid = grid_keys((-2, 2), denominators=700)  # 596,073 keys
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            reconstruct_table(F_BILINEAR, grid, engine="dyadic")
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == "dyadic engine needs a power-of-two denominator, got -1399/700"
+
     def test_pole_on_one_row_keeps_later_rows_vectorized(self):
         kernel = bivariate_expression("2*x*y + 1/(x - 1/200)")
         array_calls = []
@@ -366,6 +392,13 @@ class TestReconstructPoint:
 
     def test_zero_kernel(self):
         assert reconstruct_point(F_ZERO, math.pi, epsilon=1e-8) == 0.0
+
+    @pytest.mark.parametrize("t", [2.0**1023, -1.7976931348623157e308])
+    def test_targets_past_2_to_the_1023(self, t):
+        # t lies on the level-1 grid, where rounding it would overflow
+        assert reconstruct_point(F_ZERO, t) == 0.0
+        with pytest.raises(EvaluationError, match="at lattice point"):
+            reconstruct_point(bivariate_expression("x*y"), t)
 
     def test_convergence_error_reports_best_and_bound(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -498,6 +531,23 @@ class TestLimitWalk:
         F = POINT_KERNELS[name]
         got = _point_outcome(reconstruct_point, F, t, epsilon, max_depth)
         assert got == _point_outcome(reference_point, F, t, epsilon, max_depth)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(2.0**53 + 2.0)
+    @example(1.7976931348623157e308)
+    @example(0.1)
+    @settings(max_examples=200, deadline=None)
+    def test_scanned_points_are_floats(self, t):
+        # _limit_bound encloses H at the point (float(q), float(d)), so at
+        # every level the scan bounds, t off the level's grid, both are exact
+        exact = Fraction(t)
+        for level in range(1, exact.denominator.bit_length() - 1):
+            q = continuous._dyadic_round(t, level)
+            d = exact - q
+            assert d != 0
+            assert Fraction(float(q)) == q and Fraction(float(d)) == d
 
     @pytest.mark.parametrize("name,t", [("sine", 4924.6281), ("cube", 25000.123)])
     def test_one_walk_per_point(self, monkeypatch, name, t):
@@ -751,6 +801,31 @@ class TestGridKeys:
         with pytest.raises(ValueError, match="limit is 1000000"):
             grid_keys((-2, 2), dyadic_level=60)
         assert time.perf_counter() - start < 2.0
+
+    def test_dyadic_level_over_the_limit_refused(self):
+        # keys finer than 2**-1074 are not floats; the finest level still
+        # tiles an interval whose width is one subnormal
+        tiny = (0.0, 5e-324)
+        assert list(grid_keys(tiny, dyadic_level=1074)) == [0, Fraction(1, 2**1074)]
+        with pytest.raises(ValueError) as exc:
+            grid_keys(tiny, dyadic_level=1075)
+        assert str(exc.value) == "dyadic level 1075 is over the limit 1074"
+        with pytest.raises(ValueError, match="candidate keys k/2\\^1075; the limit is 1000000"):
+            grid_gap((0, 1), dyadic_level=1075)
+
+    def test_huge_dyadic_level_refused_without_building_it(self):
+        # the candidates of a finer level are counted at level 1074, so
+        # 2**level is never built: it would take 125 GB here
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                grid_keys((0, 1), dyadic_level=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(exc.value).startswith("grid on [0, 1] has at least ")
+        assert str(exc.value).endswith(" candidate keys k/2^1000000000000; the limit is 1000000")
 
     def test_denominator_bound_over_the_limit_refused_at_once(self):
         # the interval holds no key p/q with q up to 10**6, yet counting the

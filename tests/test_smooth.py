@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SMOOTH_SEEDS, oracle_solution, seed_kernel
 from cocycle import (
@@ -14,6 +16,7 @@ from cocycle import (
     reconstruct_ck_table,
     reconstruct_table,
 )
+from cocycle.continuous import KeyGrid
 from cocycle.smooth import _dl, _integrate
 
 F_BILINEAR = bivariate_expression("2*x*y")
@@ -26,6 +29,25 @@ def h1(F, x: float) -> float:
 
 def h2(F, y: float) -> float:
     return _dl(F, 0.0, y) - _dl(F, 0.0, 0.0)
+
+
+def two_sweeps(F, keys, tol: float = 1e-9) -> list[float]:
+    """The values of reconstruct_ck_table as two mirrored sweeps, kept as
+    the reference for its one loop over both sides: out from 0 over the
+    keys >= 0, then over the negative keys."""
+    f00 = float(F(0.0, 0.0))
+    xs = [num / den for num, den in KeyGrid.of(keys).pairs]
+    split = sum(x < 0 for x in xs)
+    integral = [0.0] * len(xs)
+    acc, prev = 0.0, 0.0
+    for i in range(split, len(xs)):
+        acc += _integrate(lambda x: h1(F, x), prev, xs[i], tol)
+        integral[i], prev = acc, xs[i]
+    acc, prev = 0.0, 0.0
+    for i in range(split - 1, -1, -1):
+        acc -= _integrate(lambda x: h1(F, x), xs[i], prev, tol)
+        integral[i], prev = acc, xs[i]
+    return [-math.sqrt(2.0) * v - f00 for v in integral]
 
 
 class TestDirectionalDerivative:
@@ -131,6 +153,31 @@ class TestCkReconstruction:
         # both routes run the same quadrature, so the values agree exactly
         F = seed_kernel("expo")
         assert reconstruct_ck_table(F, [k]).value_at(k) == reconstruct_ck_point(F, float(k))
+
+    @given(
+        st.sampled_from(SMOOTH_SEEDS),
+        st.lists(st.fractions(-3, 3, max_denominator=16), max_size=6),
+        st.fractions(-3, Fraction(-1, 16), max_denominator=16),
+        st.fractions(Fraction(1, 16), 3, max_denominator=16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_sweep_equals_two(self, name, keys, negative, positive):
+        # the same values, bit for bit, from F called at the same points
+        # in the same order
+        F = seed_kernel(name)
+        keys = [*keys, negative, positive, Fraction(0)]
+        calls, reference_calls = [], []
+
+        def logged(log):
+            def G(x, y):
+                log.append((x, y))
+                return F(x, y)
+
+            return G
+
+        got = reconstruct_ck_table(logged(calls), keys).values
+        assert got == two_sweeps(logged(reference_calls), keys)
+        assert calls == reference_calls
 
     def test_negative_keys(self):
         F = seed_kernel("square")

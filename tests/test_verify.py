@@ -426,6 +426,24 @@ class TestBoundChecks:
         omega = modulus_estimate(F_BILINEAR, 1 / 8, ((-1.0, 1.0), (-1.0, 1.0)), step)
         assert row.rhs == pytest.approx(3.0 * omega, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "q,omega",
+        [
+            (256, lambda H, box: modulus_estimate(H, 1 / 256, box, 1 / 1024)),
+            (257, lambda H, box: modulus_probe(H, 1 / 257, box)),
+        ],
+        ids=["grid-at-1/256", "probe-below"],
+    )
+    def test_lattice_side_probes_below_delta_1_over_256(self, q, omega):
+        # the lattice side's kernel grid, delta/4 apart on the unit square,
+        # holds at most 1,024 points per axis; a smaller delta is probed
+        F = seed_kernel("square")
+        table = reconstruct_table(F, [Fraction(k, q) for k in range(-q, q + 1)])
+        report = check_bound_c0(F, table, [Fraction(1, q)], 1)
+        row = next(r for r in report.results if r.check == "lattice-bound")
+        f00 = float(F(0.0, 0.0))
+        assert row.rhs == 2.0 * omega(lambda x, y: F(x, y) - f00, ((0.0, 1.0), (0.0, 1.0)))
+
     def test_delta_domain_validation(self):
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
         for bad in (Fraction(1, 2), Fraction(3, 5), Fraction(0), Fraction(-1, 4)):
