@@ -37,9 +37,9 @@ S(1) <= 3 * osc(F; [-1, 1]^2), the factor-3 transfer bound, that makes
   |f(t) - f(t_j)| <= |H(t_j, d)| + S(|d|)
 
 computable from interval enclosures of F alone (FuncSpec.enclose): one
-at (t_j, d) and one on [-r, r]^2 per dyadic scale r, which the solver
-caches.  The bound needs no value of f, so levels are scanned on it
-alone, and the lattice is walked once per target, at the level returned.
+at (t_j, d) and one on [-r, r]^2 per dyadic scale r, kept per kernel.
+The bound needs no value of f, so levels are scanned on it alone, and
+the lattice is walked once per target, at the level returned.
 The bound holds in real arithmetic; it does not cover the rounding inside
 the lattice recursion that computes f(t_j).
 """
@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,6 +87,12 @@ MAX_DYADIC_LEVEL = 1074
 # row sums of more kernel terms than this, counted over all of its rows.
 MAX_ROW_TERMS = 1 << 25
 
+# Per kernel (equal FuncSpecs share one, and it dies with the kernel):
+# [F(0, 0) enclosed, S], S[n] a bound of sup |h(u)| over |u| <= 2**-n.  S
+# is a tuple, replaced by a longer one and never mutated, so solvers in
+# several threads at worst recompute the same floats.
+_BOUNDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class ConvergenceError(Exception):
     """Limit extension failed to reach the requested epsilon.
@@ -108,7 +115,9 @@ class LatticeSolver:
     and a recomputed value is the same float; an odd integer 2m + 1 builds
     on h(2m), so an integer grid asks for each H(m, m) once.  Reads and
     single-key insertions on the h caches are atomic under the interpreter
-    lock, so a solver may be shared across threads that only query values.
+    lock, so a solver may be shared across threads that only query values;
+    the bounds of reconstruct_point are per kernel (``_BOUNDS``), not per
+    solver, and safe to share in the same way.
     The euclid-chain rows of one call of ``h`` or ``reconstruct_table``
     hold at most MAX_ROW_TERMS kernel terms in all (``_row_sum``).
     """
@@ -117,10 +126,7 @@ class LatticeSolver:
         self.F = F
         self.F00 = float(F(0.0, 0.0))
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
-        # for reconstruct_point: F(0, 0) enclosed, and _S[n], a bound of
-        # sup |h(u)| over |u| <= 2**-n
-        self._F00_box = F.enclose((0.0, 0.0), (0.0, 0.0)) if isinstance(F, FuncSpec) else None
-        self._S: list[float] = []
+        self._bounds = None  # F's _BOUNDS entry, read on the first _h_bound call
 
     # -- kernel access --
 
@@ -245,30 +251,35 @@ class LatticeSolver:
 
     def _H_abs(self, x: tuple[float, float], y: tuple[float, float]) -> float:
         # sup |H| = sup |F(x, y) - F(0, 0)| over the box x * y, rounded up
-        lo, hi = _i_sub(self.F.enclose(x, y), self._F00_box)
+        lo, hi = _i_sub(self.F.enclose(x, y), self._bounds[0])
         return max(-lo, hi)
 
     def _h_bound(self, n: int) -> float:
         """An upper bound of sup |h(u)| over |u| <= 2**-n, for n >= 0."""
-        S = self._S
-        if not S:
-            lo, hi = self.F.enclose((-1.0, 1.0), (-1.0, 1.0))
-            S.append(_up(3.0 * _up(hi - lo)))
-        while len(S) <= n:
-            r = math.ldexp(1.0, -len(S))
-            S.append(_up(_up(S[-1] + self._H_abs((-r, r), (-r, r))) / 2.0))
+        entry = self._bounds
+        if entry is None:
+            F = self.F
+            entry = _BOUNDS.get(F) or _BOUNDS.setdefault(F, [F.enclose((0.0, 0.0), (0.0, 0.0)), ()])
+            self._bounds = entry
+        S = entry[1]
+        if len(S) <= n:
+            S = list(S)
+            if not S:
+                lo, hi = self.F.enclose((-1.0, 1.0), (-1.0, 1.0))
+                S.append(_up(3.0 * _up(hi - lo)))
+            while len(S) <= n:
+                r = math.ldexp(1.0, -len(S))
+                S.append(_up(_up(S[-1] + self._H_abs((-r, r), (-r, r))) / 2.0))
+            entry[1] = max(entry[1], tuple(S), key=len)
         return S[n]
 
-    def _limit_bound(self, q: Fraction, d: Fraction, cutoff: float = math.inf) -> float:
-        """An upper bound of |f(q + d) - f(q)| = |H(q, d) + h(d)| for
-        0 < |d| <= 1 and q, d floats exactly, as at every level where t
-        has bits below the grid; inf, without enclosing H(q, d), when the
-        bound S(|d|) of |h(d)| alone exceeds ``cutoff``."""
-        n = (d.denominator // abs(d.numerator)).bit_length() - 1  # the largest n with |d| <= 2**-n
+    def _limit_bound(self, x: float, y: float, n: int, cutoff: float = math.inf) -> float:
+        """An upper bound of |f(x + y) - f(x)| = |H(x, y) + h(y)| for
+        0 < |y| <= 2**-n, n >= 0; inf, without enclosing H(x, y), when the
+        bound S(2**-n) of |h(y)| alone exceeds ``cutoff``."""
         s = self._h_bound(n)
         if s > cutoff:
             return math.inf
-        x, y = float(q), float(d)
         return _up(self._H_abs((x, x), (y, y)) + s)
 
 
@@ -307,14 +318,14 @@ def h_rational(
     return solver.h(Fraction(r), engine)
 
 
-def _dyadic_round(t: float, level: int) -> Fraction:
-    """Nearest multiple of 2**-level to the float t, ties rounding down,
-    so |t - q| <= 2**-(level+1)."""
-    scaled = math.ldexp(t, level)
-    num = math.floor(scaled)
-    if scaled - num > 0.5:
-        num += 1
-    return Fraction(num, 1 << level)
+def _dyadic_round(num: int, shift: int, level: int) -> int:
+    """The numerator of q, the multiple of 2**-level nearest to
+    t = num / 2**shift, ties rounding down, so |t - q| <= 2**-(level+1)."""
+    k = shift - level
+    if k <= 0:
+        return num << -k
+    low = num >> k  # rounded down
+    return low + (num - (low << k) > 1 << (k - 1))
 
 
 def reconstruct_point(
@@ -340,9 +351,10 @@ def reconstruct_point(
     built from interval enclosures of F, so F must be a FuncSpec; a float
     target with any other callable raises ValueError.  It holds in real
     arithmetic and does not cover the rounding of the lattice recursion
-    that computes f(t_j).  A shared ``solver`` shares its h cache and its
-    S bounds.  ValueError also answers a NaN or non-positive epsilon and
-    a max_depth below 1.
+    that computes f(t_j).  A shared ``solver`` shares its h cache; the S
+    bounds are kept per kernel, and shared by all of its solvers.
+    ValueError also answers a NaN or non-positive epsilon and a max_depth
+    below 1.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -359,21 +371,27 @@ def reconstruct_point(
             "a float target needs F as a FuncSpec, whose enclosures certify the "
             "limit; pass an int or Fraction target for another callable"
         )
-    exact = Fraction(tf)
+    # t = num_t / 2**shift and, at each level, t_j = num / 2**level and
+    # d = dn / 2**shift, in integers; below shift, t_j and d are floats
+    # exactly (t's numerator has at most 53 bits), and d is not 0
+    num_t, den_t = tf.as_integer_ratio()
+    shift = den_t.bit_length() - 1
     scanned = []
     for level in range(1, max_depth + 1):
-        if exact.denominator <= 1 << level:  # t on the grid; rounding it could overflow
-            return solver.f_value(exact, engine="dyadic")
-        q = _dyadic_round(tf, level)
-        d = exact - q
-        if solver._limit_bound(q, d, epsilon) <= epsilon:
-            return solver.f_value(q, engine="dyadic")
-        scanned.append((q, d))
+        if shift <= level:  # t on the grid
+            return solver.f_value(Fraction(num_t, den_t), engine="dyadic")
+        num = _dyadic_round(num_t, shift, level)
+        dn = num_t - (num << (shift - level))
+        n = (den_t // abs(dn)).bit_length() - 1  # the largest n with |d| <= 2**-n
+        point = (math.ldexp(num, -level), math.ldexp(dn, -shift), n)
+        if solver._limit_bound(*point, epsilon) <= epsilon:
+            return solver.f_value(Fraction(num, 1 << level), engine="dyadic")
+        scanned.append((level, num, point))
     # no level met epsilon: the least full bound, ties to the later level
-    bound, _, q = min((solver._limit_bound(q, d), -i, q) for i, (q, d) in enumerate(scanned))
+    bound, neg_level, num = min((solver._limit_bound(*p), -level, num) for level, num, p in scanned)
     raise ConvergenceError(
         f"no convergence within {max_depth} levels (achieved bound {bound:.3g})",
-        best=solver.f_value(q, engine="dyadic"),
+        best=solver.f_value(Fraction(num, 1 << -neg_level), engine="dyadic"),
         bound=bound,
     )
 
@@ -540,6 +558,16 @@ def reconstruct_table(
     )
 
 
+def _text(x: int | Fraction) -> str:
+    # str(x), or ~10^e, e its rounded power of ten, where str() passes
+    # Python's limit on the digits of an int
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        return f"~{'-' * (x < 0)}10^{round(math.log10(abs(x.numerator)) - math.log10(x.denominator))}"
+
+
 def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     """The denominators of a grid and, as ``span(den)``, its numerators
     over each; grids of more than MAX_GRID_KEYS candidate keys (every
@@ -555,6 +583,7 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    where = f"grid on [{_text(a)}, {_text(b)}]"
 
     def span(den: int) -> range:
         # the numerators num with a <= num/den <= b
@@ -565,16 +594,16 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
             raise ValueError("denominator bound must be >= 1")
         if denominators > MAX_GRID_KEYS:
             raise ValueError(
-                f"grid on [{a}, {b}] has {denominators} denominators q to scan for keys p/q; "
+                f"{where} has {_text(denominators)} denominators q to scan for keys p/q; "
                 f"the limit is {MAX_GRID_KEYS}"
             )
-        dens, form = range(1, denominators + 1), f"p/q with q up to {denominators}"
+        dens, form = range(1, denominators + 1), f"p/q with q up to {_text(denominators)}"
     else:
         if dyadic_level < 0:
             raise ValueError("dyadic level must be >= 0")
         # a finer level is counted at MAX_DYADIC_LEVEL, a lower bound, and
         # refused below: 2**level is never built
-        dens, form = (1 << min(dyadic_level, MAX_DYADIC_LEVEL),), f"k/2^{dyadic_level}"
+        dens, form = (1 << min(dyadic_level, MAX_DYADIC_LEVEL),), f"k/2^{_text(dyadic_level)}"
     # the sum stops as soon as it passes the limit; a span's length is
     # taken from its ends, since len() of a range stops at 2^63
     total = 0
@@ -583,11 +612,11 @@ def _grid_spans(interval, denominators: int | None, dyadic_level: int | None):
         total += max(0, r.stop - r.start)
         if total > MAX_GRID_KEYS:
             raise ValueError(
-                f"grid on [{a}, {b}] has at least {total} candidate keys {form}; "
+                f"{where} has at least {_text(total)} candidate keys {form}; "
                 f"the limit is {MAX_GRID_KEYS}"
             )
     if dyadic_level is not None and dyadic_level > MAX_DYADIC_LEVEL:
-        raise ValueError(f"dyadic level {dyadic_level} is over the limit {MAX_DYADIC_LEVEL}")
+        raise ValueError(f"dyadic level {_text(dyadic_level)} is over the limit {MAX_DYADIC_LEVEL}")
     return dens, span
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import random
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +35,7 @@ from cocycle import (
     reconstruct_table,
     seed_expression,
 )
-from cocycle.expressions import _sample
+from cocycle.expressions import FuncSpec, _sample
 
 F_BILINEAR = bivariate_expression("2*x*y")  # seed t^2, oracle h(t) = t^2 - t
 F_ZERO = bivariate_expression("0")
@@ -122,6 +127,19 @@ KERNELS = {
 }
 
 
+def approximant(t: float, level: int) -> Fraction:
+    """t_j, the multiple of 2**-level nearest the float t (``_dyadic_round``)."""
+    num, den = t.as_integer_ratio()
+    return Fraction(continuous._dyadic_round(num, den.bit_length() - 1, level), 1 << level)
+
+
+def limit_bound(solver: LatticeSolver, q: Fraction, d: Fraction) -> float:
+    """``_limit_bound`` at the exact floats q and d, with n, the largest
+    with |d| <= 2**-n, taken from d's Fraction."""
+    n = (d.denominator // abs(d.numerator)).bit_length() - 1
+    return solver._limit_bound(float(q), float(d), n)
+
+
 def reference_point(F, t: float, epsilon: float = 1e-6, *, max_depth: int = 64) -> float:
     """The level-by-level limit that reconstruct_point replaced, kept as
     the reference for its outcomes: f(t_j) at every level j, returned at
@@ -132,12 +150,12 @@ def reference_point(F, t: float, epsilon: float = 1e-6, *, max_depth: int = 64) 
     best: float | None = None
     bound = math.inf
     for level in range(1, max_depth + 1):
-        q = continuous._dyadic_round(t, level)
+        q = approximant(t, level)
         val = solver.f_value(q, engine="dyadic")
         d = exact - q
         if d == 0:
             return val
-        level_bound = solver._limit_bound(q, d)
+        level_bound = limit_bound(solver, q, d)
         if level_bound <= epsilon:
             return val
         if best is None or level_bound <= bound:
@@ -477,11 +495,11 @@ class TestReconstructPoint:
         # |f(t) - f(t_j)| <= bound at every level, not only where it stops;
         # 1e-9 covers the rounding of the lattice and of the oracle
         solver = LatticeSolver(seed_kernel(name))
-        q = continuous._dyadic_round(t, level)
+        q = approximant(t, level)
         d = Fraction(t) - q
         assume(d != 0)
         oracle = oracle_solution(name)
-        assert abs(oracle(t) - solver.f_value(q, "dyadic")) <= solver._limit_bound(q, d) + 1e-9
+        assert abs(oracle(t) - solver.f_value(q, "dyadic")) <= limit_bound(solver, q, d) + 1e-9
 
     def test_opaque_callable_needs_exact_target(self):
         opaque = lambda x, y: 2.0 * x * y  # noqa: E731
@@ -540,11 +558,12 @@ class TestLimitWalk:
     @example(0.1)
     @settings(max_examples=200, deadline=None)
     def test_scanned_points_are_floats(self, t):
-        # _limit_bound encloses H at the point (float(q), float(d)), so at
-        # every level the scan bounds, t off the level's grid, both are exact
+        # reconstruct_point encloses H at the floats ldexp(num, -level) and
+        # ldexp(dn, -shift), which are t_j and d exactly if both are
+        # floats: at every level the scan bounds, t off the level's grid
         exact = Fraction(t)
         for level in range(1, exact.denominator.bit_length() - 1):
-            q = continuous._dyadic_round(t, level)
+            q = approximant(t, level)
             d = exact - q
             assert d != 0
             assert Fraction(float(q)) == q and Fraction(float(d)) == d
@@ -571,6 +590,131 @@ class TestLimitWalk:
         assert calls["f_value"] == 1
         assert calls["kernel"] < 100
         assert got == reference_point(seed_kernel(name), t)
+
+
+    def test_failure_ties_go_to_the_later_level(self):
+        # every box enclosure of this F is (-inf, inf), as 1 + x - x spans
+        # 0 on a box, while its point values are finite: each level's
+        # bound is inf, and the value comes from the last, not the first
+        F = bivariate_expression("2*x*y/(1 + x - x)")
+        with pytest.raises(ConvergenceError) as exc:
+            reconstruct_point(F, 0.1, 1e-6, max_depth=6)
+        assert exc.value.bound == math.inf
+        assert exc.value.best == -0.0849609375
+        assert LatticeSolver(F).f_value(approximant(0.1, 1), "dyadic") == 0.0
+
+
+def _outcome_text(F, t, epsilon, max_depth, solver):
+    # repr keeps the sign of a zero and the message of every error
+    try:
+        return repr(reconstruct_point(F, t, epsilon, max_depth=max_depth, solver=solver))
+    except ConvergenceError as exc:
+        return repr(("convergence", exc.best, exc.bound, str(exc)))
+    except EvaluationError as exc:
+        return repr(("evaluation", str(exc)))
+
+
+def _box_enclosures(monkeypatch) -> list:
+    # the boxes of every FuncSpec.enclose call from now on that are not points
+    boxes = []
+    enclose = FuncSpec.enclose
+
+    def counted(self, *box):
+        if any(lo != hi for lo, hi in box):
+            boxes.append(box)
+        return enclose(self, *box)
+
+    monkeypatch.setattr(FuncSpec, "enclose", counted)
+    return boxes
+
+
+class TestSharedBounds:
+    """The scale bounds S of reconstruct_point are kept per kernel."""
+
+    @given(
+        st.sampled_from(sorted(POINT_KERNELS)),
+        st.lists(st.one_of(st.floats(-4, 4), far_targets), min_size=1, max_size=6),
+        st.sampled_from([1e-3, 1e-6, 1e-12]),
+        st.sampled_from([8, 30, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_solver_equals_fresh_ones(self, name, targets, epsilon, max_depth):
+        F = POINT_KERNELS[name]
+        shared = LatticeSolver(F)
+        for t in targets:
+            fresh = _outcome_text(F, t, epsilon, max_depth, None)
+            assert _outcome_text(F, t, epsilon, max_depth, shared) == fresh
+
+    @pytest.mark.parametrize("name", ["sine", "hoelder", "2*x*y"])
+    def test_deep_bound_first_equals_step_by_step(self, monkeypatch, name):
+        F = POINT_KERNELS[name]
+        monkeypatch.setattr(continuous, "_BOUNDS", weakref.WeakKeyDictionary())
+        deep = LatticeSolver(F)._h_bound(40)
+        first = continuous._BOUNDS[F][1]
+        monkeypatch.setattr(continuous, "_BOUNDS", weakref.WeakKeyDictionary())
+        solver = LatticeSolver(F)
+        steps = tuple(solver._h_bound(n) for n in range(41))
+        assert len(first) == 41 and first == steps == continuous._BOUNDS[F][1]
+        assert deep == steps[40]
+
+    def test_equal_kernel_builds_no_scale_bound(self, monkeypatch):
+        F, G = bivariate_expression("sin(x) * y"), bivariate_expression("sin(x) * y")
+        assert F == G and F is not G
+        want = reconstruct_point(F, 0.3, 1e-9)
+        boxes = _box_enclosures(monkeypatch)
+        assert reconstruct_point(G, 0.3, 1e-9) == want
+        assert boxes == []
+        reconstruct_point(G, 0.3, 1e-12)  # finer scales than F asked for
+        assert boxes and all(lo == -hi for box in boxes for lo, hi in box)
+
+    def test_entry_dies_with_its_kernel(self):
+        F, G = bivariate_expression("x * y + 1"), bivariate_expression("x * y + 1")
+        reconstruct_point(F, 0.3)
+        assert G in continuous._BOUNDS
+        del F
+        gc.collect()
+        assert G not in continuous._BOUNDS
+
+    def test_threads_extending_one_entry_agree(self, monkeypatch):
+        # solvers in several threads extend the same entry, each from its
+        # own copy; a lost publication costs a recomputation, never a value
+        F = seed_kernel("sine")
+        monkeypatch.setattr(continuous, "_BOUNDS", weakref.WeakKeyDictionary())
+        want = tuple(LatticeSolver(F)._h_bound(n) for n in range(61))
+        monkeypatch.setattr(continuous, "_BOUNDS", weakref.WeakKeyDictionary())
+        got = []
+
+        def work(seed):
+            for n in random.Random(seed).sample(range(61), 61):
+                got.append((n, LatticeSolver(F)._h_bound(n)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(got) == 4 * 61 and all(v == want[n] for n, v in got)
+        published = continuous._BOUNDS[F][1]
+        assert published == want[: len(published)]
+
+    def test_grid_work_never_hashes_the_kernel(self, monkeypatch):
+        F = bivariate_expression("x * y + 2")
+
+        def refuse(self):
+            raise AssertionError("FuncSpec hashed")
+
+        monkeypatch.setattr(FuncSpec, "__hash__", refuse)
+        with pytest.raises(AssertionError):
+            hash(F)
+        keys = grid_keys((-2, 2), dyadic_level=6)
+        assert reconstruct_table(F, keys, engine="dyadic").values
+        assert reconstruct_table(F, grid_keys((-2, 2), denominators=12)).values
 
 
 class TestIntegerPart:
@@ -841,6 +985,37 @@ class TestGridKeys:
         )
         with pytest.raises(ValueError, match="1000001 denominators q to scan"):
             grid_gap((0, 1), denominators=continuous.MAX_GRID_KEYS + 1)
+
+    @pytest.mark.parametrize(
+        "interval,grid,message",
+        [
+            (
+                (0, 10**5000),
+                {"denominators": 1},
+                "grid on [0, ~10^5000] has at least ~10^5000 candidate keys p/q with q up to 1",
+            ),
+            (
+                (-(10**5000), Fraction(1, 3)),
+                {"dyadic_level": 2},
+                "grid on [~-10^5000, 1/3] has at least ~10^5001 candidate keys k/2^2",
+            ),
+            (
+                (0, 1),
+                {"denominators": 10**5000},
+                "grid on [0, 1] has ~10^5000 denominators q to scan for keys p/q",
+            ),
+        ],
+        ids=["endpoint", "negative-endpoint", "denominators"],
+    )
+    def test_numbers_past_the_digit_limit_refused_by_the_key_limit(self, interval, grid, message):
+        # str() of an int over 4300 digits raises its own ValueError; the
+        # message gives such a number as its rounded power of ten
+        with pytest.raises(ValueError) as exc:
+            grid_keys(interval, **grid)
+        assert str(exc.value) == f"{message}; the limit is 1000000"
+        with pytest.raises(ValueError) as exc:
+            grid_keys((0.0, 5e-324), dyadic_level=10**5000)
+        assert str(exc.value) == "dyadic level ~10^5000 is over the limit 1074"
 
 
 class TestTables:

@@ -119,12 +119,18 @@ def _nearest_dyadic(t: float, level: int) -> Fraction:
     return Fraction(num, 2**level)
 
 
+def _approximant(t: float, level: int) -> Fraction:
+    # _dyadic_round at t = num / 2**shift, as reconstruct_point calls it
+    num, den = t.as_integer_ratio()
+    return Fraction(_dyadic_round(num, den.bit_length() - 1, level), 1 << level)
+
+
 class TestApproximants:
     """Dyadic approximants of a real target, as the real-point limit
     takes them (``_dyadic_round``)."""
 
     def test_dyadic_exact_target(self):
-        assert [_dyadic_round(0.75, j) for j in (1, 2, 3)] == [
+        assert [_approximant(0.75, j) for j in (1, 2, 3)] == [
             Fraction(1, 2),
             Fraction(3, 4),
             Fraction(3, 4),
@@ -140,12 +146,12 @@ class TestApproximants:
         ],
     )
     def test_ties_round_down(self, t, level, want):
-        assert _dyadic_round(t, level) == want
+        assert _approximant(t, level) == want
 
     def test_dyadic_error_bound(self):
         t = math.pi / 4
         for j in range(1, 21):
-            q = _dyadic_round(t, j)
+            q = _approximant(t, j)
             assert abs(t - float(q)) <= 2.0 ** -(j + 1) + 1e-18
             assert q.denominator <= 2**j
 
@@ -155,7 +161,7 @@ class TestApproximants:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_exact_rounding(self, t, level):
-        q = _dyadic_round(t, level)
+        q = _approximant(t, level)
         assert q == _nearest_dyadic(t, level)
         assert abs(Fraction(t) - q) <= Fraction(1, 2 ** (level + 1))
         assert q.denominator <= 2**level
