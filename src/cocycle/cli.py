@@ -6,6 +6,12 @@ Subcommands:
   verify-bound  modulus-of-continuity bound checks for a reconstruction
   bench         timing of the lattice solver on stress inputs
 
+Each setting is declared once, in ``_SETTINGS``: its config-file parser,
+its default and its flag on each command that takes one, from which
+``build_parser`` adds every flag and ``_load_config`` checks a config
+value against the flag's choices.  ``run`` parses with one parser per
+process.
+
 Exit codes: 0 all checks passed / output written, 1 at least one check
 failed, 2 usage or evaluation error.
 """
@@ -13,6 +19,7 @@ failed, 2 usage or evaluation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -47,9 +54,6 @@ from .verify import (
     symmetry_residual,
 )
 
-_ENGINE_CHOICES = (*ENGINES, "ck")
-
-
 def _cast_interval(text: str) -> tuple[float, float]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 2:
@@ -60,37 +64,6 @@ def _cast_interval(text: str) -> tuple[float, float]:
 
 def _cast_deltas(text: str) -> list[Fraction]:
     return [parse_rational(p) for p in map(str.strip, text.split(",")) if p]
-
-
-def _one_of(name: str, options: tuple[str, ...]):
-    def cast(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"{name} must be one of {options}, got {text!r}")
-        return text
-
-    return cast
-
-
-# every setting: its config-file parser and its default.  A setting's
-# config key and argparse dest are its option name with dashes replaced
-# by underscores; a flag wins over the config file, which wins over the
-# default.
-_SETTINGS = {
-    "expr": (str, None),
-    "seed": (str, None),
-    "vars": (str, None),
-    "out": (str, None),
-    "format": (_one_of("format", ("csv", "json")), "csv"),
-    "engine": (_one_of("engine", _ENGINE_CHOICES), "euclid-chain"),
-    "box": (float, 2.0),  # verify-bound: 1
-    "tolerance": (float, 1e-9),
-    "samples": (int, 1000),
-    "rng_seed": (int, 0),
-    "denominators": (int, None),
-    "dyadic_level": (int, None),
-    "interval": (_cast_interval, None),
-    "delta": (_cast_deltas, ()),
-}
 
 
 def _function(cfg: argparse.Namespace) -> FuncSpec:
@@ -119,8 +92,12 @@ def _load_config(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+            parse, _, flags = _SETTINGS[key]
+            choices = next(iter(flags.values())).get("choices")  # alike on every command
             try:
-                mapping[key] = _SETTINGS[key][0](value.strip())
+                mapping[key] = parse(value.strip())
+                if choices and mapping[key] not in choices:
+                    raise ValueError(f"{key} must be one of {choices}, got {mapping[key]!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return mapping
@@ -136,7 +113,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     cli_only = {"expr", "seed"} if args.expr is not None or args.seed is not None else set()
     if args.seed is not None:
         cli_only.add("vars")
-    for name, (_, default) in _SETTINGS.items():
+    for name, (_, default, _) in _SETTINGS.items():
         if name == "box" and args.command == "verify-bound":
             default = 1.0
         value = getattr(args, name, None)
@@ -259,84 +236,88 @@ def _cmd_bench(cfg: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "check": _cmd_check,
-    "reconstruct": _cmd_reconstruct,
-    "verify-bound": _cmd_verify_bound,
-    "bench": _cmd_bench,
+    "check": (_cmd_check, "residual checks on random samples"),
+    "reconstruct": (_cmd_reconstruct, "tabulate f on a rational grid"),
+    "verify-bound": (_cmd_verify_bound, "modulus bound checks for a reconstruction"),
+    "bench": (_cmd_bench, "lattice solver timings"),
+}
+
+
+def _flag(*commands: str, **keywords) -> dict:
+    """The same flag keywords on each of ``commands``, or on every command."""
+    return dict.fromkeys(commands or _COMMANDS, keywords)
+
+
+# every setting: its config-file parser, its default, and the argparse
+# keywords of its flag --name (underscores written as dashes) on each
+# command that takes it; the flag's type is the config parser unless the
+# keywords name another.  A setting's config key and argparse dest are its
+# name.  A flag wins over the config file, which wins over the default, and
+# a config value must be one of its flag's choices.  The order is the help's.
+_SETTINGS = {
+    "expr": (str, None, _flag(help="bivariate expression for F(x, y)")),
+    "seed": (str, None, _flag(help="univariate seed g(t); F is its additivity defect "
+                              f"(builtins: {', '.join(sorted(BUILTIN_SEEDS))})")),
+    "vars": (str, None, _flag(help="comma-separated variable names for --expr "
+                              "(default x,y); seeds are in t")),
+    "out": (str, None, _flag(help="output path (default stdout)")),
+    "rng_seed": (int, 0, _flag("check", help="sampling seed (default 0)")),
+    "samples": (int, 1000, _flag("check", help="sample count (default 1000)")),
+    "interval": (_cast_interval, None,
+                 _flag("reconstruct", nargs=2, type=float, metavar=("A", "B"))),
+    "delta": (_cast_deltas, (), _flag("verify-bound", action="append", type=parse_rational,
+                                      help="rational scale in (0, 1/2); repeatable")),
+    "box": (float, 2.0, {  # verify-bound: 1
+        "check": {"help": "sampling half-width (default 2)"},
+        "verify-bound": {"help": "check on [-M, M] for a whole number M >= 1 (default 1)"},
+    }),
+    "denominators": (int, None, {
+        "reconstruct": {"help": "all reduced p/q with q up to N"},
+        "verify-bound": {"help": "sample grid density N for f: all p/q with q up to N, or with "
+                         "--engine dyadic all k/2^L for the smallest 2^L >= N "
+                         "(default twice the largest delta denominator)"},
+    }),
+    "dyadic_level": (int, None, _flag("reconstruct", help="grid k/2^j")),
+    "engine": (str, "euclid-chain", _flag("reconstruct", "verify-bound", choices=(*ENGINES, "ck"))),
+    "format": (str, "csv", _flag("reconstruct", choices=("csv", "json"))),
+    "tolerance": (float, 1e-9, _flag("check", "reconstruct", "verify-bound",
+                                     help="check/quadrature tolerance (default 1e-9)")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    fn = common.add_mutually_exclusive_group()
-    fn.add_argument("--expr", help="bivariate expression for F(x, y)")
-    fn.add_argument(
-        "--seed",
-        help="univariate seed g(t); F is its additivity defect "
-        f"(builtins: {', '.join(sorted(BUILTIN_SEEDS))})",
-    )
-    common.add_argument(
-        "--vars",
-        help="comma-separated variable names for --expr (default x,y); seeds are in t",
-    )
-    common.add_argument("--config", help="key=value settings file; explicit flags win")
-    common.add_argument("--out", help="output path (default stdout)")
-
     parser = argparse.ArgumentParser(
         prog="cocycle",
         description="Solve f(x+y) - f(x) - f(y) = F(x, y) and verify the bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", parents=[common], help="residual checks on random samples")
-    p_check.add_argument("--rng-seed", type=int, dest="rng_seed", help="sampling seed (default 0)")
-    p_check.add_argument("--samples", type=int, help="sample count (default 1000)")
-    p_check.add_argument("--box", type=float, help="sampling half-width (default 2)")
-
-    p_rec = sub.add_parser("reconstruct", parents=[common], help="tabulate f on a rational grid")
-    p_rec.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
-    p_rec.add_argument("--denominators", type=int, help="all reduced p/q with q up to N")
-    p_rec.add_argument("--dyadic-level", type=int, dest="dyadic_level", help="grid k/2^j")
-    p_rec.add_argument("--engine", choices=_ENGINE_CHOICES)
-    p_rec.add_argument("--format", choices=("csv", "json"))
-
-    p_bound = sub.add_parser(
-        "verify-bound", parents=[common], help="modulus bound checks for a reconstruction"
-    )
-    p_bound.add_argument(
-        "--delta",
-        action="append",
-        type=parse_rational,
-        help="rational scale in (0, 1/2); repeatable",
-    )
-    p_bound.add_argument(
-        "--box", type=float, help="check on [-M, M] for a whole number M >= 1 (default 1)"
-    )
-    p_bound.add_argument(
-        "--denominators",
-        type=int,
-        help="sample grid density N for f: all p/q with q up to N, or with "
-        "--engine dyadic all k/2^L for the smallest 2^L >= N "
-        "(default twice the largest delta denominator)",
-    )
-    p_bound.add_argument("--engine", choices=_ENGINE_CHOICES)
-    for p in (p_check, p_rec, p_bound):
-        p.add_argument("--tolerance", type=float, help="check/quadrature tolerance (default 1e-9)")
-
-    sub.add_parser("bench", parents=[common], help="lattice solver timings")
-
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        function = p.add_mutually_exclusive_group()
+        for name, (parse, _, flags) in _SETTINGS.items():
+            if name == "out":  # --config is a flag but not a setting
+                p.add_argument("--config", help="key=value settings file; explicit flags win")
+            if command in flags:
+                group = function if name in ("expr", "seed") else p
+                flag = "--" + name.replace("_", "-")
+                group.add_argument(flag, **{"type": parse, **flags[command]})
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every run in this process: parsing does not change it."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ParseError, EvaluationError, ConvergenceError, QuadratureError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

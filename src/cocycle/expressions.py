@@ -487,8 +487,10 @@ class FuncSpec:
         return self.evaluate(*args)
 
     def evaluate(self, *args):
-        """F or g at floats or numpy arrays.  The one place where Python
-        and numpy errors and non-finite results become EvaluationError."""
+        """F or g at floats or numpy arrays; an array call's result has the
+        arguments' broadcast shape, also where it does not depend on an
+        array.  The one place where Python and numpy errors and non-finite
+        results become EvaluationError."""
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
         scalar, array, _ = self._compiled
@@ -505,7 +507,10 @@ class FuncSpec:
             raise EvaluationError(str(exc)) from exc
         if not (math.isfinite(out) if fn is scalar else np.all(np.isfinite(out))):
             raise EvaluationError("non-finite result")
-        return out
+        if fn is scalar:
+            return out
+        shape = np.broadcast(*args).shape
+        return out if np.shape(out) == shape else np.full(shape, out)
 
     def enclose(self, *box: tuple[float, float]) -> tuple[float, float]:
         """An interval (lo, hi) that holds F or g at every point of ``box``,

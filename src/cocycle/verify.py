@@ -116,12 +116,13 @@ class VerificationReport:
 
 def _residual_report(check: str, points, residual_fn, tolerance: float) -> VerificationReport:
     """One-result report of the largest |residual_fn(pt)| over the points,
-    with the point attaining it as the witness."""
+    with the point attaining it as the witness.  The first NaN residual is
+    the largest: the check fails and reports it."""
     worst = -1.0
     witness = None
     for pt in points:
         r = abs(residual_fn(pt))
-        if r > worst:
+        if r > worst or (math.isnan(r) and not math.isnan(worst)):
             worst = r
             witness = pt
     if witness is None:
@@ -399,13 +400,14 @@ def check_bound_c0(
         df = float(d)
         kernel_modulus = _window_max_2d(kernel_vals, kernel_step, sy, df)
         # reconstruction side: pairs of stored samples within delta, one pass
-        # per key offset k, up to the first k with none (the keys are sorted)
+        # per key offset k, up to the first k with none (the keys are sorted);
+        # np.maximum keeps a NaN difference, which max would drop
         left = 0.0
         for k in range(1, len(kf)):
             near = kf[k:] - kf[:-k] <= df + 1e-12
             if not near.any():
                 break
-            left = max(left, float(np.abs(vf[k:] - vf[:-k])[near].max()))
+            left = float(np.maximum(left, np.abs(vf[k:] - vf[:-k])[near].max()))
         params = {"delta": d, "M": M, "grid_step": kernel_step}
         results.append(_bound("modulus-bound", params, left, 3.0 * kernel_modulus, tolerance))
         # lattice side: |h(p/n)| against twice the kernel modulus at p/n

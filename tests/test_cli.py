@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -8,12 +9,16 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cocycle import cli, continuous
 from cocycle.cli import _SETTINGS, _load_config, _resolve, build_parser, run
+from cocycle.continuous import ENGINES
+from cocycle.expressions import BUILTIN_SEEDS
+from cocycle.rational import parse_rational
 
 GOLDEN_QUARTER_CSV = """t,f,t_exact
 0,0,
@@ -892,7 +897,7 @@ class TestSettingsTable:
     def test_defaults(self):
         resolved = _resolve(build_parser().parse_args(["check"]))
         assert {name: getattr(resolved, name) for name in _SETTINGS} == {
-            name: default for name, (_, default) in _SETTINGS.items()
+            name: default for name, (_, default, _) in _SETTINGS.items()
         }
         assert _resolve(build_parser().parse_args(["verify-bound"])).box == 1.0
 
@@ -908,6 +913,131 @@ class TestSettingsTable:
         cfg.write_text(f"seed=square\n{line}\n", encoding="utf-8")
         code, _, err = run_out(["bench", "--config", str(cfg)], capsys)
         assert (code, err) == (2, f"error: {cfg}:2: {message}\n")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser as it was written out flag by flag, before the flags came
+    from the settings table."""
+    engines = (*ENGINES, "ck")
+    common = argparse.ArgumentParser(add_help=False)
+    fn = common.add_mutually_exclusive_group()
+    fn.add_argument("--expr", help="bivariate expression for F(x, y)")
+    fn.add_argument(
+        "--seed",
+        help="univariate seed g(t); F is its additivity defect "
+        f"(builtins: {', '.join(sorted(BUILTIN_SEEDS))})",
+    )
+    common.add_argument(
+        "--vars",
+        help="comma-separated variable names for --expr (default x,y); seeds are in t",
+    )
+    common.add_argument("--config", help="key=value settings file; explicit flags win")
+    common.add_argument("--out", help="output path (default stdout)")
+
+    parser = argparse.ArgumentParser(
+        prog="cocycle",
+        description="Solve f(x+y) - f(x) - f(y) = F(x, y) and verify the bounds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_check = sub.add_parser("check", parents=[common], help="residual checks on random samples")
+    p_check.add_argument("--rng-seed", type=int, dest="rng_seed", help="sampling seed (default 0)")
+    p_check.add_argument("--samples", type=int, help="sample count (default 1000)")
+    p_check.add_argument("--box", type=float, help="sampling half-width (default 2)")
+
+    p_rec = sub.add_parser("reconstruct", parents=[common], help="tabulate f on a rational grid")
+    p_rec.add_argument("--interval", nargs=2, type=float, metavar=("A", "B"))
+    p_rec.add_argument("--denominators", type=int, help="all reduced p/q with q up to N")
+    p_rec.add_argument("--dyadic-level", type=int, dest="dyadic_level", help="grid k/2^j")
+    p_rec.add_argument("--engine", choices=engines)
+    p_rec.add_argument("--format", choices=("csv", "json"))
+
+    p_bound = sub.add_parser(
+        "verify-bound", parents=[common], help="modulus bound checks for a reconstruction"
+    )
+    p_bound.add_argument(
+        "--delta",
+        action="append",
+        type=parse_rational,
+        help="rational scale in (0, 1/2); repeatable",
+    )
+    p_bound.add_argument(
+        "--box", type=float, help="check on [-M, M] for a whole number M >= 1 (default 1)"
+    )
+    p_bound.add_argument(
+        "--denominators",
+        type=int,
+        help="sample grid density N for f: all p/q with q up to N, or with "
+        "--engine dyadic all k/2^L for the smallest 2^L >= N "
+        "(default twice the largest delta denominator)",
+    )
+    p_bound.add_argument("--engine", choices=engines)
+    for p in (p_check, p_rec, p_bound):
+        p.add_argument("--tolerance", type=float, help="check/quadrature tolerance (default 1e-9)")
+
+    sub.add_parser("bench", parents=[common], help="lattice solver timings")
+
+    return parser
+
+
+def _helps(parser: argparse.ArgumentParser) -> dict:
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    return {None: parser.format_help()} | {
+        name: sub.format_help() for name, sub in commands.choices.items()
+    }
+
+
+class TestParser:
+    def test_help_equals_the_reference(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got, want = _helps(build_parser()), _helps(reference_parser())
+        assert list(got) == list(want)
+        for command, text in want.items():
+            assert got[command] == text, command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in README_COMMANDS] + [
+            ["check", "--expr", "a*b", "--vars", "a,b", "--rng-seed", "3", "--samples", "5",
+             "--box", "0.5", "--tolerance", "0", "--out", "o", "--config", "c"],
+            ["reconstruct", "--seed", "cube", "--interval", "-1", "2", "--dyadic-level", "3",
+             "--engine", "dyadic", "--format", "json"],
+            ["verify-bound", "--seed", "cube", "--delta", "1/4", "--delta", "1/8", "--box", "2",
+             "--denominators", "9", "--engine", "ck"],
+            ["bench", "--seed", "expo", "--vars", "t"],
+        ],
+        ids=" ".join,
+    )
+    def test_parse_equals_the_reference(self, argv):
+        assert vars(build_parser().parse_args(argv)) == vars(reference_parser().parse_args(argv))
+
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            argv = ["check", "--seed", "square", "--samples", "1"]
+            assert [run(argv), run(argv)] == [0, 0]
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_calls_carry_nothing_over(self, monkeypatch, capsys):
+        deltas = []
+        resolve = cli._resolve
+        monkeypatch.setattr(
+            cli, "_resolve", lambda args: deltas.append(getattr(args, "delta", None)) or resolve(args)
+        )
+        argv = ["verify-bound", "--seed", "square", "--delta", "1/4"]
+        assert [run(argv), run(argv)] == [0, 0]
+        assert deltas == [[Fraction(1, 4)]] * 2
+        capsys.readouterr()
+
+        both = ["check", "--expr", "x*y", "--seed", "square"]
+        first = run_out(both, capsys)
+        assert run_out(["check", "--seed", "square", "--samples", "1"], capsys)[0] == 0
+        assert run_out(both, capsys) == first
+        assert first[0] == 2 and "argument --seed: not allowed with argument --expr" in first[2]
 
 
 class TestReadme:

@@ -21,7 +21,9 @@ from cocycle import (
     parse_expr,
     seed_expression,
 )
-from cocycle.expressions import _GLOBALS, Bin, Call, Const, Num, Unary, Var, _lower, _tokenize
+from cocycle.expressions import (
+    _GLOBALS, Bin, Call, Const, Num, Unary, Var, _lower, _sample, _tokenize
+)
 
 finite_floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -83,14 +85,15 @@ def _finite(out):
 
 def reference(node, env):
     """The former tree-walking evaluator: numpy errors and non-finite
-    results raise."""
+    results raise.  With an array argument the result has the arguments'
+    broadcast shape, as FuncSpec's array calls give it."""
     if any(isinstance(v, np.ndarray) for v in env.values()):
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
                 out = _eval(node, env)
             except FloatingPointError as exc:
                 raise EvaluationError(str(exc)) from exc
-        return _finite(out)
+        return np.broadcast_to(_finite(out), np.broadcast(*env.values()).shape).copy()
     return _finite(_eval(node, env))
 
 
@@ -377,6 +380,21 @@ class TestArrayEvaluation:
         ys = np.array([1.0, 2.0, 3.0])
         out = ev("2*x*y", x=0.5, y=ys)
         assert np.array_equal(out, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("src", ["1", "x"])
+    def test_row_not_in_ys_is_one_array_call(self, src):
+        # a 0-d result used to send _sample to one scalar call per term
+        F = bivariate_expression(src)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return F(*args)
+
+        ys = np.linspace(-1.0, 1.0, 10**6)
+        vals = _sample(counted, 0.375, ys)
+        assert len(calls) == 1 and vals.shape == ys.shape and vals.flags.writeable
+        assert np.array_equal(vals[::997], [F(0.375, y) for y in ys[::997].tolist()])
 
 
 class TestCompiledMatchesReference:

@@ -95,6 +95,26 @@ class TestSymmetryResidual:
         assert report.results[0].max_residual == 2.0
         assert not report.passed
 
+    def test_nan_residual_fails_with_its_witness(self):
+        # r > worst used to skip a NaN, so this passed with max_residual 0.0
+        F = lambda x, y: math.nan if x > 0.5 else 2 * x * y
+        report = symmetry_residual(F, [(0.1, 0.2), (0.9, 0.3), (0.2, 0.3)])
+        result = report.results[0]
+        assert not report.passed
+        assert math.isnan(result.max_residual) and result.witness == (0.9, 0.3)
+
+    @pytest.mark.parametrize(
+        "F",
+        [lambda x, y: math.nan, lambda x, y: math.nan if x > 0.5 else x * y * y],
+        ids=["nan-everywhere", "larger-finite-after"],
+    )
+    def test_first_nan_stays_the_worst(self, F):
+        # a NaN everywhere used to raise "empty sample set"
+        report = symmetry_residual(F, [(0.9, 0.3), (0.2, 0.5), (0.8, 0.1)])
+        result = report.results[0]
+        assert not report.passed
+        assert math.isnan(result.max_residual) and result.witness == (0.9, 0.3)
+
 
 class TestCocycleResidual:
     def test_callable_oracle(self):
@@ -464,6 +484,17 @@ class TestBoundChecks:
         table = reconstruct_table(F_BILINEAR, grid_keys((-1, 1), denominators=8))
         with pytest.raises(ValueError):
             check_bound_c0(F_BILINEAR, table, [Fraction(1, 4)], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("index", [0, 22, 44])
+    def test_non_finite_table_value_fails(self, bad, index):
+        # max(left, nan) used to drop the NaN, so the check passed with lhs 0.625
+        F = seed_kernel("square")
+        table = reconstruct_table(F, grid_keys((-1, 1), denominators=8))
+        table.values[index] = bad
+        row = check_bound_c0(F, table, [Fraction(1, 4)], 1).results[0]
+        assert row.check == "modulus-bound" and not row.passed
+        assert repr(row.lhs) == repr(bad)
 
     @pytest.mark.parametrize("name", ["expo", "sine", "hoelder"])
     def test_row_blocks_equal_one_grid(self, name, monkeypatch):
