@@ -155,6 +155,8 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
     F = _function(cfg)
     if not cfg.box > 0:  # a box of 0 or less samples only the origin
         raise ValueError(f"check --box must be positive, got {cfg.box}")
+    if cfg.samples < 1:
+        raise ValueError(f"check --samples must be at least 1, got {cfg.samples}")
     rng = random.Random(cfg.rng_seed)
     span = cfg.box
 

@@ -73,7 +73,7 @@ __all__ = [
 
 ENGINES = ("euclid-chain", "dyadic")
 
-# Row sums switch to vectorized evaluation above this length.
+# Row sums of this many terms or more take one array call, for speed only.
 _VECTOR_MIN = 128
 
 # grid_keys refuses grids larger than this many keys.
@@ -144,7 +144,8 @@ class LatticeSolver:
             val = float(self.F(xf, yf)) - self.F00
         except EvaluationError as exc:
             raise EvaluationError(
-                f"F not evaluable at lattice point ({Fraction(a, b)}, {Fraction(c, d)}): {exc}",
+                f"F not evaluable at lattice point ({Fraction(a, b)}, {Fraction(c, d)}): "
+                f"{exc.__cause__ or exc}",  # the reason, without the float point
                 point=(xf, yf),
             ) from exc
         if not math.isfinite(val):
@@ -155,12 +156,12 @@ class LatticeSolver:
         return val
 
     def _row_sum(self, a: int, b: int, m: int, row_terms: list[int]) -> float:
-        # sum_{i=1..m-1} H(a/b, i*a/b); m can reach b, so long rows take one
-        # sampled call and exact (Shewchuk) summation via math.fsum.  A pole
-        # spoils one row, which scalar calls then report at its lattice
-        # point.  row_terms[0] counts the row terms of the current public
-        # call; a row that would take it past MAX_ROW_TERMS is refused
-        # before it is evaluated or allocated.
+        # sum_{i=1..m-1} H(a/b, i*a/b); m can reach b, so a long row takes one
+        # sampled call (its ys exact while b <= 2**53) and exact (Shewchuk)
+        # summation via math.fsum.  A pole spoils one row, which scalar calls
+        # then report at its lattice point.  row_terms[0] counts the row terms
+        # of the current public call; a row that would take it past
+        # MAX_ROW_TERMS is refused before it is evaluated or allocated.
         terms = row_terms[0] + m - 1
         if terms > MAX_ROW_TERMS:
             raise ValueError(
@@ -168,7 +169,7 @@ class LatticeSolver:
                 f"the limit per call is {MAX_ROW_TERMS}"
             )
         row_terms[0] = terms
-        if m - 1 >= _VECTOR_MIN:
+        if m - 1 >= _VECTOR_MIN and b <= 1 << 53:
             ys = np.arange(1, m, dtype=np.float64) * float(a) / float(b)
             try:
                 vals = _sample(self.F, a / b, ys)

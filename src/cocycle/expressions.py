@@ -22,6 +22,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -50,8 +51,8 @@ class ParseError(Exception):
 class EvaluationError(Exception):
     """Domain violation or non-finite result during evaluation.
 
-    When raised while probing a lattice point the offending point is
-    attached as ``point``.
+    A scalar call's error names its point, and the lattice solver's names
+    the lattice point; either is attached as ``point``.
     """
 
     def __init__(self, message: str, point: tuple | None = None):
@@ -97,14 +98,8 @@ class Call:
 Expr = Union[Num, Const, Var, Unary, Bin, Call]
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-_FUNCS = {  # name: (scalar, array) implementation
-    "exp": (math.exp, np.exp),
-    "log": (math.log, np.log),
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "abs": (abs, np.abs),
-    "sqrt": (math.sqrt, np.sqrt),
-}
+_FUNCS = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+          "abs": abs, "sqrt": math.sqrt}
 
 
 # --- tokenizer and parser --------------------------------------------
@@ -229,13 +224,32 @@ def parse_expr(src: str, variables: tuple[str, ...] | list[str] = ("x", "y")) ->
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
-def _per_value(scalar, array):
+def _per_value(scalar, array=None):
+    # scalar at floats; else (an ndarray, or a numpy scalar that one left)
+    # array, or scalar at each element of the broadcast, as a scalar call
     def call(*args):
-        if any(isinstance(a, np.ndarray) for a in args):
+        if all(type(a) is float for a in args):
+            return scalar(*args)
+        if array is not None:
             return array(*args)
-        return scalar(*args)
+        shape = np.broadcast(*args).shape
+        cols = [np.broadcast_to(a, shape).ravel().tolist() if isinstance(a, np.ndarray)
+                else repeat(a) for a in args]
+        return np.fromiter(map(scalar, *cols), np.float64, math.prod(shape)).reshape(shape)
 
     return call
+
+
+def _sqrt_array(a):
+    if (a < 0.0).any():
+        raise ValueError("math domain error")
+    return np.sqrt(a)
+
+
+def _div_array(a, b):
+    if np.any(b == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
 
 
 # --- intervals ----------------------------------------------------------
@@ -381,18 +395,21 @@ _INTERVAL = {
     "exp": _i_exp, "log": _i_log, "sin": _i_sin, "cos": _i_cos, "abs": _i_abs, "sqrt": _i_sqrt,
 }
 
-# The only globals of compiled code: _s_<f> are the scalar functions,
-# _a_<f> take numpy's on an ndarray and the scalar one otherwise, so a
-# scalar value inside an array call (a constant, or the x of F(x, ys)) is
-# computed exactly as in a scalar call, and _i_<f> are the interval ones.
-_TABLE = {**_FUNCS, "pow": (math.pow, operator.pow)}
+# The only globals of compiled code: _s_<f> are the scalar functions; _a_<f>
+# the same at floats and, at ndarrays, numpy's abs, sqrt and division (IEEE
+# 754 fixes their results; they raise as Python's do) or libm's function at
+# each element, so an array call equals its scalar calls bit for bit (numpy's
+# exp, log, sin, cos and pow need not); _i_<f> are the interval functions.
+_SCALAR = {**_FUNCS, "pow": math.pow, "div": operator.truediv}
+_EXACT = {"abs": np.abs, "sqrt": _sqrt_array, "div": _div_array}
 _GLOBALS = {
     "_errstate": np.errstate,
-    **{f"_s_{name}": s for name, (s, _) in _TABLE.items()},
-    **{f"_a_{name}": _per_value(s, a) for name, (s, a) in _TABLE.items()},
+    **{f"_s_{name}": fn for name, fn in _SCALAR.items()},
+    **{f"_a_{name}": _per_value(fn, _EXACT.get(name)) for name, fn in _SCALAR.items()},
     **{f"_i_{name}": fn for name, fn in _INTERVAL.items()},
 }
 _OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+_OP_CALLS = {"_s_": "^", "_a_": "/^", "_i_": "+-*/^"}  # the operators each form calls
 
 
 def _literal(value) -> str:
@@ -404,8 +421,8 @@ def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
     """Python source for ``node``, calling the ``prefix`` functions, and
     its precedence.  Python groups + - * / and unary minus as our grammar
     does, so parentheses go only where precedence needs them, and a long
-    sum stays flat; '^' becomes a call.  With the interval prefix every
-    operation is a call and a constant c is the pair (c, c)."""
+    sum stays flat; '^' becomes a call, and '/' too in the array form.  In
+    the interval form every operation is a call and a constant c is (c, c)."""
     atom = _PREC["atom"]
     interval = prefix == "_i_"
     if isinstance(node, (Num, Const)):
@@ -422,7 +439,7 @@ def _lower(node: Expr, names: dict, prefix: str) -> tuple[str, int]:
         return f"{prefix}{node.func}({_lower(node.arg, names, prefix)[0]})", atom
     if isinstance(node, Bin) and node.op in _OP_NAMES:
         (a, pa), (b, pb) = (_lower(n, names, prefix) for n in (node.left, node.right))
-        if node.op == "^" or interval:
+        if node.op in _OP_CALLS[prefix]:
             return f"{prefix}{_OP_NAMES[node.op]}({a}, {b})", atom
         p = _PREC[node.op]
         a = a if pa >= p else f"({a})"
@@ -443,8 +460,8 @@ def _compile(node: Expr, variables: tuple[str, ...]):
     try:
         for prefix in ("_i_", "_s_", "_a_"):
             body = f"return {_lower(node, names, prefix)[0]}"
-            if prefix == "_a_":
-                body = f'with _errstate(divide="raise", invalid="raise", over="raise"): {body}'
+            if prefix == "_a_":  # numpy's + - * then give inf and NaN silently, as Python's do
+                body = f'with _errstate(all="ignore"): {body}'
             scope: dict = {}
             exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
             compiled[prefix] = scope["fn"]
@@ -487,10 +504,10 @@ class FuncSpec:
         return self.evaluate(*args)
 
     def evaluate(self, *args):
-        """F or g at floats or numpy arrays; an array call's result has the
-        arguments' broadcast shape, also where it does not depend on an
-        array.  The one place where Python and numpy errors and non-finite
-        results become EvaluationError."""
+        """F or g at floats or numpy arrays.  An array call gives its scalar
+        calls' values bit for bit, in the arguments' broadcast shape.  Python
+        errors and non-finite results become EvaluationError here, a scalar
+        call's with its ``point``, which the message names."""
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
         scalar, array, _ = self._compiled
@@ -499,14 +516,17 @@ class FuncSpec:
             if type(a) is not float:  # convert, or take the array variant
                 if any(isinstance(b, np.ndarray) for b in args):
                     fn = array
-                args = [b if isinstance(b, np.ndarray) else float(b) for b in args]
+                args = [np.asarray(b, float) if isinstance(b, np.ndarray) else float(b) for b in args]
                 break
         try:
             out = fn(*args)
-        except (ZeroDivisionError, ValueError, OverflowError, FloatingPointError) as exc:
-            raise EvaluationError(str(exc)) from exc
-        if not (math.isfinite(out) if fn is scalar else np.all(np.isfinite(out))):
-            raise EvaluationError("non-finite result")
+            if not (math.isfinite(out) if fn is scalar else np.all(np.isfinite(out))):
+                raise ArithmeticError("non-finite result")
+        except (ArithmeticError, ValueError) as exc:
+            if fn is array:
+                raise EvaluationError(str(exc)) from exc
+            where = ", ".join(f"{v}={a!r}" for v, a in zip(self.variables, args))
+            raise EvaluationError(f"{exc} at {where}", point=tuple(args)) from exc
         if fn is scalar:
             return out
         shape = np.broadcast(*args).shape
@@ -570,15 +590,15 @@ def cocycle_from_seed(g: FuncSpec) -> FuncSpec:
 
 def _sample(fn, *coords) -> np.ndarray:
     """fn at the broadcast points of numpy arrays and floats: one array
-    call, or one scalar call per point when fn takes no arrays or returns
-    another shape.  A float coordinate is passed as it is, so a compiled
-    F(x, ys) equals its scalar calls bit for bit.  A value that is not
-    finite raises EvaluationError, since NaN would slip through a running
-    max unseen."""
+    call, which for a compiled F only saves time, or one scalar call per
+    point when fn takes no arrays, returns another shape or raises
+    EvaluationError, so the first failing point is named.  A value that is
+    not finite raises EvaluationError, since NaN would slip through a
+    running max unseen."""
     shape = np.broadcast(*coords).shape
     try:
         vals = np.asarray(fn(*coords), dtype=np.float64)
-    except (TypeError, LookupError):
+    except (TypeError, LookupError, EvaluationError):
         vals = None
     if vals is None or vals.shape != shape:
         points = zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in coords))

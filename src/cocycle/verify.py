@@ -31,7 +31,6 @@ __all__ = [
     "modulus_estimate",
     "modulus_probe",
     "check_bound_c0",
-    "affine_difference",
 ]
 
 # Default absolute tolerance for exact-lattice checks.
@@ -420,20 +419,3 @@ def check_bound_c0(
             _bound("lattice-bound", {"delta": d}, abs(h_val), 2.0 * omega_h, LATTICE_TOLERANCE)
         )
     return VerificationReport(results)
-
-
-def affine_difference(f1, f2, grid) -> tuple[float, float, float]:
-    """Least-squares affine fit to f1 - f2 on the grid.
-
-    Returns (slope, intercept, max_residual); two solutions of the same
-    cocycle equation differ by an affine function, so the residual is the
-    observable disagreement.
-    """
-    pts = list(grid)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 grid points")
-    xs = np.array([float(t) for t in pts])
-    diffs = np.array([float(f1(t)) - float(f2(t)) for t in pts])
-    slope, intercept = np.polyfit(xs, diffs, 1)
-    residual = float(np.max(np.abs(diffs - (slope * xs + intercept))))
-    return float(slope), float(intercept), residual

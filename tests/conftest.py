@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from cocycle import builtin_seed, cocycle_from_seed
 
 SEED_FUNCS = {
@@ -35,3 +37,20 @@ def oracle_solution(name: str):
     g = SEED_FUNCS[name]
     slope = g(1.0) - g(0.0)
     return lambda t: g(float(t)) - slope * float(t)
+
+
+def affine_difference(f1, f2, grid) -> tuple[float, float, float]:
+    """Least-squares affine fit to f1 - f2 on the grid.
+
+    Returns (slope, intercept, max_residual); two solutions of the same
+    cocycle equation differ by an affine function, so the residual is the
+    observable disagreement.
+    """
+    pts = list(grid)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 grid points")
+    xs = np.array([float(t) for t in pts])
+    diffs = np.array([float(f1(t)) - float(f2(t)) for t in pts])
+    slope, intercept = np.polyfit(xs, diffs, 1)
+    residual = float(np.max(np.abs(diffs - (slope * xs + intercept))))
+    return float(slope), float(intercept), residual

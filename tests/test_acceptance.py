@@ -12,10 +12,9 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ALL_SEEDS, SMOOTH_SEEDS, oracle_solution, seed_kernel
+from conftest import ALL_SEEDS, SMOOTH_SEEDS, affine_difference, oracle_solution, seed_kernel
 from cocycle import (
     LatticeSolver,
-    affine_difference,
     bivariate_expression,
     check_bound_c0,
     grid_keys,

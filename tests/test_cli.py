@@ -273,6 +273,17 @@ class TestExitCodes:
         code, out, err = run_out(argv + ["--config", str(cfg)], capsys)
         assert (code, out) == (2, "") and "--box must be positive" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_check_samples_must_be_positive(self, samples, tmp_path, capsys):
+        # 0 used to reach the residual report as "empty sample set"
+        message = f"error: check --samples must be at least 1, got {samples}\n"
+        code, out, err = run_out(["check", "--seed", "square", "--samples", samples], capsys)
+        assert (code, out, err) == (2, "", message)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"samples={samples}\n", encoding="utf-8")
+        code, out, err = run_out(["check", "--seed", "square", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", message)
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     @pytest.mark.parametrize(
         "argv",
@@ -416,6 +427,25 @@ class TestExitCodes:
              "--denominators", "4"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "--expr", "log(x)", "--samples", "3"],
+             "math domain error at x=-0.9192341133537125, y=-0.38026345019834284"),
+            # F(0, 0), which the lattice solver takes first
+            (["reconstruct", "--expr", "1/x", "--interval", "0", "1", "--denominators", "2"],
+             "float division by zero at x=0.0, y=0.0"),
+            # the kernel grid's first point, found again by scalar calls
+            # after its block's array call failed
+            (["verify-bound", "--expr", "log(x+2)", "--delta", "1/4", "--box", "2"],
+             "math domain error at x=-2.0, y=-2.0"),
+        ],
+        ids=["check", "reconstruct", "verify-bound"],
+    )
+    def test_evaluation_error_names_the_point(self, argv, message, capsys):
+        code, out, err = run_out(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_first_pole_is_at_the_integer_part(self, capsys):
         # h(5/2) takes h(2) before h(1/2): F fails at (1, 1) on the way to

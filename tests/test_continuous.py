@@ -35,7 +35,7 @@ from cocycle import (
     reconstruct_table,
     seed_expression,
 )
-from cocycle.expressions import FuncSpec, _sample
+from cocycle.expressions import FuncSpec
 
 F_BILINEAR = bivariate_expression("2*x*y")  # seed t^2, oracle h(t) = t^2 - t
 F_ZERO = bivariate_expression("0")
@@ -49,8 +49,8 @@ small_rationals = st.fractions(
 class ReferenceSolver:
     """The Fraction-keyed lattice recursion that the integer-keyed
     LatticeSolver replaced, kept as the reference for its values: the same
-    F calls, float operations and row fallback, with exact keys as
-    Fractions."""
+    float operations, with exact keys as Fractions, and scalar F calls
+    only, where the solver takes a long row in one array call."""
 
     def __init__(self, F):
         self.F = F
@@ -72,14 +72,6 @@ class ReferenceSolver:
         return self._H[(x, y)]
 
     def _row_sum(self, x: Fraction, m: int) -> float:
-        if m - 1 >= continuous._VECTOR_MIN:
-            ys = np.arange(1, m, dtype=np.float64) * float(x.numerator) / float(x.denominator)
-            try:
-                vals = _sample(self.F, float(x), ys)
-            except EvaluationError:
-                pass
-            else:
-                return math.fsum((vals - self.F00).tolist())
         return math.fsum(self.H(x, i * x) for i in range(1, m))
 
     def h(self, r: Fraction, engine: str = "euclid-chain") -> float:
@@ -207,7 +199,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n,arrays", [(128, 0), (129, 1), (130, 1)])
     def test_vector_threshold_equals_reference(self, n, arrays):
         # 1/n has a row of n - 1 terms: scalar calls below 128, one array
-        # call from 128 on; numpy's exp and math.exp differ in some last bits
+        # call from 128 on, whose values equal the reference's scalar calls
         calls = []
 
         def F(x, y):
@@ -217,6 +209,15 @@ class TestAgainstReference:
         got = LatticeSolver(F).h(Fraction(1, n))
         assert sum(calls) == arrays
         assert got == ReferenceSolver(F_EXPO).h(Fraction(1, n))
+
+    @pytest.mark.parametrize("a,b", [(309517039889459, 58957243863480000),
+                                     (51393207630335, 10739385266208768)])
+    def test_row_over_2_53_equals_reference(self, a, b):
+        # chains of six rows whose first, of 189 and 207 terms, has a
+        # denominator over 2**53, where the products i*a are not all floats:
+        # float ys would miss the lattice points i*a/b of the scalar calls
+        r = Fraction(a, b)
+        assert LatticeSolver(F_EXPO).h(r) == ReferenceSolver(F_EXPO).h(r)
 
     @given(st.sampled_from(sorted(KERNELS)), st.lists(small_rationals, min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)

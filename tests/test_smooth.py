@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMOOTH_SEEDS, oracle_solution, seed_kernel
+from conftest import SMOOTH_SEEDS, affine_difference, oracle_solution, seed_kernel
 from cocycle import (
     QuadratureError,
     bivariate_expression,
@@ -187,8 +187,6 @@ class TestCkReconstruction:
         assert table.value_at(Fraction(-1, 2)) == pytest.approx(0.25, abs=1e-8)
 
     def test_two_routes_differ_by_affine(self):
-        from cocycle import affine_difference
-
         F = seed_kernel("square")
         keys = grid_keys((0, 1), dyadic_level=4)
         f_ck = reconstruct_ck_table(F, keys)

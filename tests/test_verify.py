@@ -11,11 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SEEDS, seed_kernel
+from conftest import ALL_SEEDS, affine_difference, seed_kernel
 from cocycle import (
     EvaluationError,
     ReconstructedFunction,
-    affine_difference,
     bivariate_expression,
     check_bound_c0,
     cocycle_residual,
