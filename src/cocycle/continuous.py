@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expressions import EvaluationError, FuncSpec, _i_sub, _sample
+from .expressions import EvaluationError, FuncSpec, _i_sub, _sample, _scalar
 from .rational import euclid_chain  # noqa: F401  benchmark/tracing.py wraps it here
 
 __all__ = [
@@ -110,9 +110,10 @@ class LatticeSolver:
     """Shared evaluation state for one kernel F.
 
     Exact points are reduced integer pairs (num, den) with den > 0, and F
-    gets each one as the float num / den.  h is cached per engine by its
-    pair; no Fraction is built below the public methods.  H is not cached,
-    and a recomputed value is the same float; an odd integer 2m + 1 builds
+    gets each one as the float num / den, through its compiled scalar form
+    (``expressions._scalar``).  h is cached per engine by its pair; no
+    Fraction is built below the public methods.  H is not cached, and a
+    recomputed value is the same float; an odd integer 2m + 1 builds
     on h(2m), so an integer grid asks for each H(m, m) once.  Reads and
     single-key insertions on the h caches are atomic under the interpreter
     lock, so a solver may be shared across threads that only query values;
@@ -125,6 +126,7 @@ class LatticeSolver:
     def __init__(self, F):
         self.F = F
         self.F00 = float(F(0.0, 0.0))
+        self._F_at = _scalar(F)
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
         self._bounds = None  # F's _BOUNDS entry, read on the first _h_bound call
 
@@ -141,7 +143,7 @@ class LatticeSolver:
             return 0.0  # H(x, 0) = H(0, y) = 0 for any cocycle
         xf, yf = a / b, c / d
         try:
-            val = float(self.F(xf, yf)) - self.F00
+            val = float(self._F_at(xf, yf)) - self.F00
         except EvaluationError as exc:
             raise EvaluationError(
                 f"F not evaluable at lattice point ({Fraction(a, b)}, {Fraction(c, d)}): "

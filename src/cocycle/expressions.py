@@ -403,11 +403,12 @@ _INTERVAL = {
 _SCALAR = {**_FUNCS, "pow": math.pow, "div": operator.truediv}
 _EXACT = {"abs": np.abs, "sqrt": _sqrt_array, "div": _div_array}
 _GLOBALS = {
-    "_errstate": np.errstate,
+    "_errstate": np.errstate, "_isfinite": math.isfinite,
     **{f"_s_{name}": fn for name, fn in _SCALAR.items()},
     **{f"_a_{name}": _per_value(fn, _EXACT.get(name)) for name, fn in _SCALAR.items()},
     **{f"_i_{name}": fn for name, fn in _INTERVAL.items()},
 }
+_NON_FINITE = 'raise ArithmeticError("non-finite result")'
 _OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 _OP_CALLS = {"_s_": "^", "_a_": "/^", "_i_": "+-*/^"}  # the operators each form calls
 
@@ -459,9 +460,12 @@ def _compile(node: Expr, variables: tuple[str, ...]):
     compiled = {}
     try:
         for prefix in ("_i_", "_s_", "_a_"):
-            body = f"return {_lower(node, names, prefix)[0]}"
+            expr = _lower(node, names, prefix)[0]
+            body = f"return {expr}"
             if prefix == "_a_":  # numpy's + - * then give inf and NaN silently, as Python's do
                 body = f'with _errstate(all="ignore"): {body}'
+            elif prefix == "_s_":  # a finite float, or a Python error
+                body = f"out = {expr}\n    if _isfinite(out): return out\n    {_NON_FINITE}"
             scope: dict = {}
             exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
             compiled[prefix] = scope["fn"]
@@ -520,7 +524,7 @@ class FuncSpec:
                 break
         try:
             out = fn(*args)
-            if not (math.isfinite(out) if fn is scalar else np.all(np.isfinite(out))):
+            if fn is array and not np.all(np.isfinite(out)):
                 raise ArithmeticError("non-finite result")
         except (ArithmeticError, ValueError) as exc:
             if fn is array:
@@ -530,7 +534,7 @@ class FuncSpec:
         if fn is scalar:
             return out
         shape = np.broadcast(*args).shape
-        return out if np.shape(out) == shape else np.full(shape, out)
+        return out if type(out) is np.ndarray and out.shape == shape else np.full(shape, out)
 
     def enclose(self, *box: tuple[float, float]) -> tuple[float, float]:
         """An interval (lo, hi) that holds F or g at every point of ``box``,
@@ -587,6 +591,24 @@ def cocycle_from_seed(g: FuncSpec) -> FuncSpec:
 
 
 # --- sampling -------------------------------------------------------------
+
+def _scalar(fn):
+    """fn at float points (x, y): a FuncSpec's compiled scalar form, and its
+    call, whose EvaluationError names the point, only where that form raises.
+    Any other fn, a subclass too (it may override ``evaluate``), is itself."""
+    if type(fn) is not FuncSpec:
+        return fn
+    compiled = fn._compiled[0]
+
+    def call(x, y):
+        try:
+            return compiled(x, y)
+        except (ArithmeticError, ValueError, TypeError):
+            pass
+        return fn(x, y)
+
+    return call
+
 
 def _sample(fn, *coords) -> np.ndarray:
     """fn at the broadcast points of numpy arrays and floats: one array

@@ -9,8 +9,8 @@ opposite (h1 = -h2) and dF/dl(0, 0) = 0, which gives the reconstruction
     f(t) = -sqrt(2) * integral_0^t h1(z) dz - F(0, 0)
 
 normalized by f(0) = -F(0, 0) and f'(0) = 0.  The derivative is a
-central difference with one Richardson level; integrals use adaptive
-Simpson quadrature.
+central difference with one Richardson level of F's compiled scalar
+form (``expressions._scalar``); integrals use adaptive Simpson quadrature.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from .continuous import KeyGrid, ReconstructedFunction
+from .expressions import _scalar
 
 __all__ = [
     "QuadratureError",
@@ -111,9 +112,10 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
     between consecutive keys, outward from 0 on each side, so a grid costs
     one quadrature per gap.
     """
+    at = _scalar(F)
 
     def h1(x: float) -> float:
-        return _dl(F, x, 0.0)
+        return _dl(at, x, 0.0)
 
     f00 = float(F(0.0, 0.0))
     grid = KeyGrid.of(keys)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .continuous import LatticeSolver, ReconstructedFunction
-from .expressions import _sample
+from .expressions import _sample, _scalar
 from .rational import format_rational
 
 __all__ = [
@@ -139,6 +139,7 @@ def _residual_report(check: str, points, residual_fn, tolerance: float) -> Verif
 
 def kurepa_residual(F, triples, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Largest violation of F(x+y,z) + F(x,y) = F(y,z) + F(x,y+z)."""
+    F = _scalar(F)
 
     def resid(pt):
         x, y, z = (float(v) for v in pt)
@@ -149,6 +150,7 @@ def kurepa_residual(F, triples, tolerance: float = DEFAULT_TOLERANCE) -> Verific
 
 def symmetry_residual(F, pairs, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Largest violation of F(x, y) = F(y, x)."""
+    F = _scalar(F)
 
     def resid(pt):
         x, y = (float(v) for v in pt)
@@ -163,6 +165,7 @@ def cocycle_residual(F, f, pairs, tolerance: float = DEFAULT_TOLERANCE) -> Verif
     ``f`` may be a callable or a sample table; table lookups outside the
     stored keys raise LookupError (tables carry no extension rule).
     """
+    F = _scalar(F)
 
     def resid(pt):
         x, y = pt
@@ -186,11 +189,13 @@ def _box(domain) -> tuple[float, float, float, float]:
 def _grid(fn, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """fn on the grid xs x ys (indexed [i, j] = fn(xs[i], ys[j])), filled a
     block of rows at a time into one preallocated array, so only a block's
-    worth of coordinates and temporaries is alive at once."""
+    worth of temporaries is alive at once.  A block is one broadcast call
+    fn(xs[rows, None], ys), or one call per point where fn does not return
+    the block's shape (``_sample``)."""
     vals = np.empty((len(xs), len(ys)))
     rows = max(1, _BLOCK_POINTS // len(ys))
     for i in range(0, len(xs), rows):
-        vals[i : i + rows] = _sample(fn, *np.meshgrid(xs[i : i + rows], ys, indexing="ij"))
+        vals[i : i + rows] = _sample(fn, xs[i : i + rows, None], ys)
     return vals
 
 

@@ -21,9 +21,12 @@ from cocycle import (
     parse_expr,
     seed_expression,
 )
+from cocycle.continuous import grid_keys, reconstruct_table
 from cocycle.expressions import (
-    _GLOBALS, Bin, Call, Const, Num, Unary, Var, _lower, _sample, _tokenize
+    _GLOBALS, _NON_FINITE, Bin, Call, Const, Num, Unary, Var, _lower, _sample, _scalar, _tokenize
 )
+from cocycle.smooth import reconstruct_ck_table
+from cocycle.verify import cocycle_residual, kurepa_residual, symmetry_residual
 
 finite_floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -121,6 +124,8 @@ def reference_compiled_kernel(g):
             body = f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
         if prefix == "_a_":
             body = f'with _errstate(all="ignore"): {body}'
+        if prefix == "_s_":  # the scalar form ends with the finiteness check
+            body = body.replace("return", "out =") + f"\n    if _isfinite(out): return out\n    {_NON_FINITE}"
         scope: dict = {}
         exec(f"def fn(x, y):\n    {body}", _GLOBALS, scope)
         compiled.append(scope["fn"])
@@ -485,8 +490,15 @@ class TestArrayEqualsScalarCalls:
             if want is EvaluationError or got is EvaluationError:
                 assert got is want
             else:
-                got = np.asarray(got)  # a 0-d call may return a float
+                assert type(got) is np.ndarray  # a 0-d call too
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("src", ["0", "x + 1", "x", "exp(x)", "y"])
+    def test_zero_d_call_is_an_ndarray(self, src):
+        # numpy turns 0-d results into numpy scalars, a constant is a float
+        got = bivariate_expression(src)(np.array(0.5), 0.5)
+        assert type(got) is np.ndarray and got.shape == ()
+        assert got.tobytes() == np.array(bivariate_expression(src)(0.5, 0.5)).tobytes()
 
     @pytest.mark.parametrize("src", ["exp(x)", "log(abs(x) + 1e-300)", "sin(x)", "cos(x)", "x^3", "2^x"])
     def test_elementary_functions_on_many_points(self, src):
@@ -495,6 +507,66 @@ class TestArrayEqualsScalarCalls:
         xs = np.linspace(-4.0, 4.0, 4097)
         F = seed_expression(src, "x")
         assert F(xs).tobytes() == np.array([F(x) for x in xs.tolist()]).tobytes()
+
+
+def _value_or_error(fn, *args):
+    try:
+        out = fn(*args)
+    except EvaluationError as exc:
+        return str(exc), exc.point
+    return type(out), out.hex()  # signed zeros too
+
+
+class TestScalarEntry:
+    """``_scalar(F)`` is F at floats, through the compiled scalar form."""
+
+    @given(st.one_of(exprs(["x", "y"]), powers), wide_points, wide_points)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_call(self, node, x, y):
+        F = FuncSpec(node, ("x", "y"))
+        assert _value_or_error(_scalar(F), x, y) == _value_or_error(F, x, y)
+
+    def test_other_callables_are_themselves(self):
+        class Traced(FuncSpec):
+            def evaluate(self, *args):
+                return super().evaluate(*args)
+
+        plain = lambda x, y: x * y  # noqa: E731
+        assert _scalar(plain) is plain
+        traced = Traced(parse_expr("x * y"), ("x", "y"))
+        assert _scalar(traced) is traced
+
+    def test_arity_error_is_the_calls(self):
+        with pytest.raises(TypeError, match="expected 1 arguments, got 2"):
+            _scalar(seed_expression("t"))(0.5, 0.5)
+
+    # F(0, 0) is the only call through evaluate: the lattice solver and
+    # the ck route take it once, the residual checks never
+    RUNS = {
+        "euclid-chain": (lambda F: reconstruct_table(F, grid_keys((-2, 2), denominators=12)).values, 1),
+        "dyadic": (lambda F: reconstruct_table(F, grid_keys((-2, 2), dyadic_level=5), "dyadic").values, 1),
+        "ck": (lambda F: reconstruct_ck_table(F, grid_keys((-1, 1), dyadic_level=3)).values, 1),
+        "check": (lambda F: [r.to_json_obj() for r in (
+            kurepa_residual(F, [(0.1, 0.2, 0.3), (1.5, -0.5, 2.0)]).results
+            + symmetry_residual(F, [(0.25, -1.5)]).results
+            + cocycle_residual(F, math.sin, [(0.25, -1.5)]).results
+        )], 0),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_hot_loops_skip_evaluate(self, name, monkeypatch):
+        run, calls = self.RUNS[name]
+        F = cocycle_from_seed(builtin_seed("sine"))
+        want = run(lambda x, y: F(x, y))  # a plain callable gives the same values
+        evaluate, seen = FuncSpec.evaluate, []
+
+        def counted(spec, *args):
+            seen.append(args)
+            return evaluate(spec, *args)
+
+        monkeypatch.setattr(FuncSpec, "evaluate", counted)
+        assert run(F) == want
+        assert seen == [(0.0, 0.0)] * calls
 
 
 class TestCallCost:
