@@ -27,6 +27,11 @@ and on the core interval (0, 1/2) by one of two engines:
   dyadic         h(x) = (h(2x) - H(x, x)) / 2, descending from the
                  integer/half lattice (power-of-two denominators only).
 
+A single key is walked: down its line of parents to a known value, then
+back up.  A table is one pass, when F is compiled: h on (0, 1) parents
+first (one list per dyadic level, or the keys' quotient chains), then
+the identities above at each key, with the walk's float operations.
+
 Real targets are handled by a limit over dyadic approximants t_j with a
 certified stopping rule.  For d = t - t_j the cocycle relation gives
 f(t) - f(t_j) = H(t_j, d) + h(d), and h(u) = (h(2u) - H(u, u)) / 2 gives
@@ -52,6 +57,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -111,10 +117,13 @@ class LatticeSolver:
 
     Exact points are reduced integer pairs (num, den) with den > 0, and F
     gets each one as the float num / den, through its compiled scalar form
-    (``expressions._scalar``).  h is cached per engine by its pair; no
-    Fraction is built below the public methods.  H is not cached, and a
-    recomputed value is the same float; an odd integer 2m + 1 builds
-    on h(2m), so an integer grid asks for each H(m, m) once.  Reads and
+    (``expressions._scalar``).  The walk (``_h_value``) caches h per engine
+    by its pair; no Fraction is built below the public methods.  H is not
+    cached, and a recomputed value is the same float; an odd integer
+    2m + 1 builds on h(2m), so an integer grid asks for each H(m, m) once.
+    A table of a compiled F is one pass (``_table``), which gives the
+    walk's values, writes only the integer parts into the cache, and
+    leaves the table to the walk wherever it cannot finish.  Reads and
     single-key insertions on the h caches are atomic under the interpreter
     lock, so a solver may be shared across threads that only query values;
     the bounds of reconstruct_point are per kernel (``_BOUNDS``), not per
@@ -127,6 +136,9 @@ class LatticeSolver:
         self.F = F
         self.F00 = float(F(0.0, 0.0))
         self._F_at = _scalar(F)
+        # F's compiled scalar form, for the table pass and short rows: the
+        # rule of _scalar, which leaves other callables to their own calls
+        self._compiled = F._compiled[0] if type(F) is FuncSpec else None
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
         self._bounds = None  # F's _BOUNDS entry, read on the first _h_bound call
 
@@ -160,8 +172,9 @@ class LatticeSolver:
     def _row_sum(self, a: int, b: int, m: int, row_terms: list[int]) -> float:
         # sum_{i=1..m-1} H(a/b, i*a/b); m can reach b, so a long row takes one
         # sampled call (its ys exact while b <= 2**53) and exact (Shewchuk)
-        # summation via math.fsum.  A pole spoils one row, which scalar calls
-        # then report at its lattice point.  row_terms[0] counts the row terms
+        # summation via math.fsum, and a short one F's compiled form, when F
+        # has one.  A pole spoils one row, which calls through _kernel then
+        # report at its lattice point.  row_terms[0] counts the row terms
         # of the current public call; a row that would take it past
         # MAX_ROW_TERMS is refused before it is evaluated or allocated.
         terms = row_terms[0] + m - 1
@@ -179,6 +192,14 @@ class LatticeSolver:
                 pass
             else:
                 return math.fsum((vals - self.F00).tolist())
+        elif self._compiled is not None:
+            F, f00, x = self._compiled, self.F00, a / b
+            try:
+                row = math.fsum([F(x, i * a / b) - f00 for i in range(1, m)])
+                if math.isfinite(row):
+                    return row
+            except (ArithmeticError, ValueError, TypeError):
+                pass  # the sum through _kernel below raises it
         return math.fsum(self._kernel(a, b, i * a, b) for i in range(1, m))
 
     # -- h at rationals --
@@ -247,6 +268,112 @@ class LatticeSolver:
             cache[key] = hv
         return hv
 
+    # -- h at the keys of a table --
+
+    def _table(self, pairs: list[tuple[int, int]], engine: str) -> list[float]:
+        # h at every key, in key order: one pass when F is compiled, else,
+        # and wherever the pass stops short, the walk, key by key
+        if self._compiled is not None:
+            try:
+                values = self._pass(pairs, engine)
+            except (ArithmeticError, ValueError, TypeError, EvaluationError):
+                values = None  # the walk raises the error, at its point
+            if values is not None and all(map(math.isfinite, values)):
+                return values
+        row_terms = [0]  # the row-work limit holds per table
+        return [self._h_value(num, den, engine, row_terms) for num, den in pairs]
+
+    def _pass(self, pairs: list[tuple[int, int]], engine: str) -> list[float] | None:
+        # The walk's values, bit for bit, with no per-key walk: h on (0, 1)
+        # comes parents first, each node once, then the key identities are
+        # applied in the walk's operation order.  F is called at the walk's
+        # float points; its Python errors and non-finite values (which
+        # reach the result through + - / and fsum) are the caller's to
+        # catch.  None, returned before F is called, leaves the table to
+        # the walk.
+        F, f00 = self._compiled, self.F00
+        frac = (self._dyadic_values if engine == "dyadic" else self._chain_values)(pairs)
+        if frac is None:
+            return None
+        ints = self._h[engine]  # h at an integer comes from the walk, which caches it
+        out = []
+        for num, den in pairs:
+            n = -num if num < 0 else num
+            k, s = divmod(n, den)
+            hv = ints.get((k, 1)) if k > 1 else 0.0
+            if hv is None:
+                hv = self._h_value(k, 1, engine, [0])
+            if s:
+                hs = frac(s, den)
+                hv = hv + hs + (F(float(k), s / den) - f00) if k else hs
+            if num < 0:
+                x = n / den
+                hv = -hv - (F(x, -x) - f00)
+            out.append(hv)
+        return out
+
+    def _dyadic_values(self, pairs):
+        # h(i / 2**l), i odd, in one list per level l up to the finest key's
+        # L: h(x) = (h(2x) - H(x, x)) / 2 on (0, 1/2), then
+        # h(x) = -h(1-x) - H(x, 1-x) on (1/2, 1).  The lists hold 2**L - 1
+        # values, so a table of far fewer keys is left to the walk.
+        top = max(map(itemgetter(1), pairs), default=1)
+        if top > 4 * len(pairs):
+            return None
+        F, f00 = self._compiled, self.F00
+        levels = [[], [-(F(0.5, 0.5) - f00) / 2.0]] if top > 1 else []
+        for level in range(2, top.bit_length()):
+            prev, step = levels[-1], 1 << level
+            xs = [i / step for i in range(1, step, 2)]
+            lower = [(hv - (F(x, x) - f00)) / 2.0 for hv, x in zip(prev, xs)]
+            low_xs = reversed(xs[: len(prev)])
+            levels.append(lower + [
+                -hv - (F(x, y) - f00) for hv, x, y in zip(reversed(lower), xs[len(prev):], low_xs)
+            ])
+        return lambda s, den: levels[den.bit_length() - 1][s >> 1]
+
+    def _chain_values(self, pairs):
+        # h on (0, 1/2) at the quotient chains of the keys' fractional
+        # parts (reflected there from (1/2, 1)): the chains are listed
+        # first, each node after its parent (n mod p)/n, and their row
+        # terms summed, so a table past MAX_ROW_TERMS is left to the walk
+        # before F is called; then 1/2 and the reflections, once each
+        F, f00 = self._compiled, self.F00
+        seen, order, terms = {(0, 1)}, [], 0
+        for num, den in pairs:
+            s = abs(num) % den
+            if 2 * s == den:
+                continue
+            node = (s, den) if 2 * s < den else (den - s, den)
+            path = []
+            while node not in seen:
+                seen.add(node)
+                p, n = node
+                node = _chain_next(p, n)
+                path.append((p, n, node))
+                terms += n // p - 1
+            order += reversed(path)
+        if terms > MAX_ROW_TERMS:
+            return None
+        h, row_terms = {(0, 1): 0.0}, [0]
+        for p, n, (c, d) in order:
+            m = n // p
+            row = self._row_sum(p, n, m, row_terms)
+            bridge = F(c / d, (d - c) / d) - f00 if c else 0.0
+            h[p, n] = -(row + bridge + h[c, d]) / m
+
+        def frac(s: int, den: int) -> float:
+            hv = h.get((s, den))
+            if hv is None:  # 1/2 or a key on (1/2, 1), the first time
+                if 2 * s == den:
+                    hv = -(F(0.5, 0.5) - f00) / 2.0
+                else:
+                    hv = -h[den - s, den] - (F(s / den, (den - s) / den) - f00)
+                h[s, den] = hv
+            return hv
+
+        return frac
+
     def f_value(self, r: Fraction, engine: str = "euclid-chain") -> float:
         return self.h(r, engine) - self.F00
 
@@ -300,8 +427,8 @@ def _up(v: float) -> float:
 def _check_engine(engine: str, pairs) -> None:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    bad = next((p for p in pairs if p[1] & (p[1] - 1)), None) if engine == "dyadic" else None
-    if bad:
+    if engine == "dyadic" and any(den & (den - 1) for den in set(map(itemgetter(1), pairs))):
+        bad = next(p for p in pairs if p[1] & (p[1] - 1))
         raise ValueError(f"dyadic engine needs a power-of-two denominator, got {Fraction(*bad)}")
 
 
@@ -510,19 +637,32 @@ class ReconstructedFunction:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_obj(), indent=2) + "\\n"``, written
-        directly: with ``indent`` set, json runs its pure-Python encoder."""
+        directly, with one format call for the rows: with ``indent`` set,
+        json runs its pure-Python encoder."""
         norm = [f"    {json.dumps(k)}: {_json_float(v)}" for k, v in self.normalization.items()]
-        rows = []
-        for (num, den), dec, v in zip(self.keys.pairs, self._decimals(), self.values):
-            exact = "" if dec is not None else f',\n      "t_exact": "{num}/{den}"'
-            rows.append(
-                f'    {{\n      "t": {_json_float(num / den)},\n      "f": {_json_float(v)}{exact}\n    }}'
-            )
+        values = self.values
+        if not all(map(math.isfinite, values)):
+            values = [_json_float(v) for v in values]  # %s then writes the text
+        forms, args = [], []
+        for (num, den), dec, v in zip(self.keys.pairs, self._decimals(), values):
+            if dec is None:
+                forms.append(_JSON_ROW_EXACT)
+                args += (num / den, v, num, den)
+            else:
+                forms.append(_JSON_ROW)
+                args += (num / den, v)
+        rows = [",\n".join(forms) % tuple(args)] if forms else []
         return (
             f"{{\n  \"engine\": {json.dumps(self.engine)},\n"
             f"  \"normalization\": {_json_block(norm, '{}')},\n"
             f"  \"samples\": {_json_block(rows, '[]')}\n}}\n"
         )
+
+
+# one sample row of to_json_text, without and with t_exact: t is a finite
+# float, which %r writes as json does, and f a finite float or its json text
+_JSON_ROW = '    {\n      "t": %r,\n      "f": %s\n    }'
+_JSON_ROW_EXACT = '    {\n      "t": %r,\n      "f": %s,\n      "t_exact": "%d/%d"\n    }'
 
 
 def _json_float(v: float) -> str:
@@ -547,15 +687,22 @@ def reconstruct_table(
     solver: LatticeSolver | None = None,
 ) -> ReconstructedFunction:
     """Reconstruct f at the given rational keys, sorted and deduplicated
-    (a KeyGrid from grid_keys is used as it is)."""
+    (a KeyGrid from grid_keys is used as it is).
+
+    A FuncSpec F is solved in one pass, parents first; any other callable,
+    a dyadic table whose level lists would hold over four times as many
+    values as it has keys, euclid-chain rows past MAX_ROW_TERMS, and an
+    error or non-finite value in the pass leave the table to the walk of
+    ``LatticeSolver.h``, key by key.  Both give the same values, and every
+    error is the walk's.  A shared ``solver`` lends its cache to the walk;
+    the pass reads only its integer parts."""
     solver = solver or LatticeSolver(F)
     grid = KeyGrid.of(keys)
     _check_engine(engine, grid.pairs)
-    h, f00 = solver._h_value, solver.F00
-    row_terms = [0]  # the row-work limit holds per table
+    f00 = solver.F00
     return ReconstructedFunction(
         keys=grid,
-        values=[h(num, den, engine, row_terms) - f00 for num, den in grid.pairs],
+        values=[hv - f00 for hv in solver._table(grid.pairs, engine)],
         engine=engine,
         normalization={"f(0)": -f00, "f(1)": -f00},
     )

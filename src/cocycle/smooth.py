@@ -10,7 +10,8 @@ opposite (h1 = -h2) and dF/dl(0, 0) = 0, which gives the reconstruction
 
 normalized by f(0) = -F(0, 0) and f'(0) = 0.  The derivative is a
 central difference with one Richardson level of F's compiled scalar
-form (``expressions._scalar``); integrals use adaptive Simpson quadrature.
+form (``expressions._scalar``); integrals use adaptive Simpson quadrature,
+one per gap between a table's keys, with h1 evaluated once at each key.
 """
 
 from __future__ import annotations
@@ -84,15 +85,17 @@ def _adaptive(
     )
 
 
-def _integrate(fn, a: float, b: float, tol: float, max_depth: int = 50) -> float:
+def _integrate(fn, a: float, b: float, tol: float, max_depth: int = 50, ends=None) -> float:
     """Integral of fn over [a, b], a <= b, by adaptive Simpson quadrature.
 
     Raises QuadratureError (with the achieved estimate) if the error
-    cannot be brought under ``tol`` within ``max_depth`` splits.
+    cannot be brought under ``tol`` within ``max_depth`` splits.  ``ends``,
+    if given, is fn at a and b (a cache of a table's gap ends).
     """
     if a == b:
         return 0.0
-    fa, fb = fn(a), fn(b)
+    ends = ends or fn
+    fa, fb = ends(a), ends(b)
     mid = 0.5 * (a + b)
     fm = fn(mid)
     whole = _simpson(fa, fm, fb, b - a)
@@ -110,12 +113,20 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
 
     The integral of h1(x) = dF/dl(x, 0) is accumulated segment by segment
     between consecutive keys, outward from 0 on each side, so a grid costs
-    one quadrature per gap.
+    one quadrature per gap; h1 at a key, the end of two gaps, is
+    evaluated once.
     """
     at = _scalar(F)
+    at_ends: dict[float, float] = {}
 
     def h1(x: float) -> float:
         return _dl(at, x, 0.0)
+
+    def h1_end(x: float) -> float:
+        hv = at_ends.get(x)
+        if hv is None:
+            hv = at_ends[x] = h1(x)
+        return hv
 
     f00 = float(F(0.0, 0.0))
     grid = KeyGrid.of(keys)
@@ -126,7 +137,10 @@ def reconstruct_ck_table(F, keys, tol: float = 1e-9) -> ReconstructedFunction:
         acc, prev = 0.0, 0.0
         for i in side:
             x = xs[i]
-            acc += _integrate(h1, prev, x, tol) if prev <= x else -_integrate(h1, x, prev, tol)
+            if prev <= x:
+                acc += _integrate(h1, prev, x, tol, ends=h1_end)
+            else:
+                acc -= _integrate(h1, x, prev, tol, ends=h1_end)
             integral[i], prev = acc, x
     return ReconstructedFunction(
         keys=grid,

@@ -779,6 +779,41 @@ class TestBenchCommand:
         assert obj["dyadic_grid"]["points"] == 4097
 
 
+class TestFootprint:
+    # numpy.ma costs about 1.3 MiB and 6 ms when first imported (np.unique
+    # without return_inverse and np.union1d import it); no command needs it
+    SCRIPT = """
+import contextlib, io, sys
+from cocycle import cli
+out = sys.argv[1]
+argvs = [
+    ["reconstruct", "--seed", "expo", "--interval", "-2", "2", "--denominators", "12"],
+    ["reconstruct", "--seed", "sine", "--interval", "-2", "2", "--engine", "dyadic",
+     "--dyadic-level", "6", "--format", "json"],
+    ["reconstruct", "--seed", "cube", "--interval", "-2", "2", "--engine", "ck",
+     "--dyadic-level", "3", "--format", "json"],
+    ["check", "--seed", "expo", "--samples", "50"],
+    ["verify-bound", "--seed", "hoelder", "--delta", "1/4", "--denominators", "16"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run([*argv, "--out", out]) for argv in argvs]
+    codes.append(cli.run(["bench", "--seed", "square"]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n", proc.stderr
+
+
 class TestModuleEntryPoint:
     """``python -m cocycle`` exits with ``run``'s code through ``cli.main``."""
 

@@ -804,6 +804,150 @@ class TestRowWork:
             assert table.values == [ReferenceSolver(F_BILINEAR).h(r) - solver.F00]
 
 
+def _walked(F, keys, engine):
+    """The table of a compiled F as the walk computes it, key by key: F
+    behind a plain callable, which the table pass leaves to the walk."""
+    try:
+        return [v.hex() for v in reconstruct_table(lambda x, y: F(x, y), keys, engine).values]
+    except (EvaluationError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "point", None))
+
+
+def _passed(F, keys, engine):
+    try:
+        return [v.hex() for v in reconstruct_table(F, keys, engine).values]
+    except (EvaluationError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "point", None))
+
+
+def _non_integer_walks(monkeypatch) -> list:
+    """The keys other than integers that LatticeSolver._h_value is asked for."""
+    walk, seen = LatticeSolver._h_value, []
+
+    def spy(self, num, den, engine, row_terms):
+        if den != 1:
+            seen.append(Fraction(num, den))
+        return walk(self, num, den, engine, row_terms)
+
+    monkeypatch.setattr(LatticeSolver, "_h_value", spy)
+    return seen
+
+
+# keys of either engine: negatives, integers, keys above 1, half-integers
+dyadic_keys = st.integers(0, 7).flatmap(
+    lambda L: st.integers(-6 << L, 6 << L).map(lambda k: Fraction(k, 1 << L))
+)
+farey_keys = st.integers(1, 40).flatmap(lambda n: st.integers(-6 * n, 6 * n).map(lambda p: Fraction(p, n)))
+# grids dense enough for the level lists, with keys of their own
+dyadic_tables = st.tuples(
+    st.integers(-4, 3), st.integers(1, 4), st.integers(0, 6), st.lists(dyadic_keys, max_size=8)
+).map(lambda t: [*grid_keys((t[0], t[0] + t[1]), dyadic_level=t[2]), *t[3]])
+chain_tables = st.one_of(
+    st.lists(st.one_of(farey_keys, dyadic_keys), min_size=1, max_size=30),
+    st.tuples(st.integers(-4, 3), st.integers(1, 12), st.lists(farey_keys, max_size=8)).map(
+        lambda t: [*grid_keys((t[0], t[0] + 1), denominators=t[1]), *t[2]]
+    ),
+)
+
+
+class TestTablePass:
+    """reconstruct_table computes a compiled F's table in one pass; it
+    equals the walk's table bit for bit, and where the pass fails the walk
+    takes the table over and raises the walk's error."""
+
+    # the zero kernel's values are signed zeros, which the hex forms tell apart
+    KERNELS = {**{name: seed_kernel(name) for name in ALL_SEEDS}, "2*x*y": F_BILINEAR, "0": F_ZERO}
+
+    @given(st.sampled_from(sorted(KERNELS)), st.one_of(dyadic_tables, st.lists(dyadic_keys, max_size=30)))
+    @settings(max_examples=60, deadline=None)
+    def test_dyadic_table_equals_walk(self, name, keys):
+        F = self.KERNELS[name]
+        solver = LatticeSolver(F)
+        want = [(solver.h(k, "dyadic") - solver.F00).hex() for k in continuous.KeyGrid.of(keys)]
+        assert [v.hex() for v in reconstruct_table(F, keys, "dyadic").values] == want
+
+    @given(st.sampled_from(sorted(KERNELS)), chain_tables)
+    @settings(max_examples=60, deadline=None)
+    def test_chain_table_equals_walk(self, name, keys):
+        F = self.KERNELS[name]
+        solver = LatticeSolver(F)
+        want = [(solver.h(k) - solver.F00).hex() for k in continuous.KeyGrid.of(keys)]
+        assert [v.hex() for v in reconstruct_table(F, keys).values] == want
+
+    def test_long_rows_equal_walk(self):
+        # rows of 128 terms and more keep their array call
+        keys = [Fraction(1, n) for n in (100, 129, 300, 1000)] + [Fraction(-7, 300), Fraction(5, 2)]
+        assert _passed(F_EXPO, keys, "euclid-chain") == _walked(F_EXPO, keys, "euclid-chain")
+
+    @pytest.mark.parametrize("engine,keys", [
+        ("euclid-chain", grid_keys((-2, 2), denominators=12)),
+        ("dyadic", grid_keys((-2, 2), dyadic_level=6)),
+    ])
+    def test_grid_takes_the_pass(self, engine, keys, monkeypatch):
+        walked = _non_integer_walks(monkeypatch)
+        assert reconstruct_table(F_EXPO, keys, engine).values
+        assert walked == []
+
+    def test_narrow_deep_dyadic_table_takes_the_walk(self, monkeypatch):
+        # 2**520 values in the level lists for 34 keys: the walk is cheaper
+        keys = grid_keys((0, 1e-155), dyadic_level=520)
+        want = _walked(F_EXPO, keys, "dyadic")
+        walked = _non_integer_walks(monkeypatch)
+        assert _passed(F_EXPO, keys, "dyadic") == want
+        assert len(walked) == len(keys) - 1  # every key but 0
+
+    @pytest.mark.parametrize("expr,keys,engine", [
+        ("1/(x-1/2)", grid_keys((0, 1), denominators=4), "euclid-chain"),
+        ("1/(x-1/2)", grid_keys((0, 1), dyadic_level=3), "dyadic"),
+        ("1/(y-1/3) + x*y", grid_keys((-3, 3), denominators=9), "euclid-chain"),
+        ("1e308*x*y", grid_keys((-2, 2), denominators=3), "euclid-chain"),
+        ("1e308*x*y", grid_keys((-2, 2), dyadic_level=3), "dyadic"),
+        ("exp(1000*x*y)", grid_keys((-2, 2), dyadic_level=4), "dyadic"),
+        ("log(x+1)", grid_keys((-2, 2), denominators=5), "euclid-chain"),
+        # 1/(x - 3/8) is a pole on the level lists that only the key 3/8 uses
+        ("1/(x-3/8) + x*y", [*grid_keys((0, 1), dyadic_level=2), Fraction(-3, 8)], "dyadic"),
+        ("1/(x-3/8) + x*y", grid_keys((-1, 1), dyadic_level=3), "dyadic"),
+        # F is finite, and F - F(0, 0) overflows from x*y = 0.9 on: first at
+        # (1, 15/16), for the key 31/16, before the integer 2 asks for (1, 1)
+        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, 2), dyadic_level=4), "dyadic"),
+        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, 2), denominators=16), "euclid-chain"),
+        # the same without the integer 2: the pass returns inf, no error
+        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, Fraction(31, 16)), dyadic_level=4), "dyadic"),
+        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, Fraction(19, 10)), denominators=10), "euclid-chain"),
+    ])
+    def test_errors_are_the_walks(self, expr, keys, engine):
+        F = bivariate_expression(expr)
+        assert _passed(F, keys, engine) == _walked(F, keys, engine)
+
+    def test_pole_names_the_lattice_point(self):
+        F = bivariate_expression("1/(x-1/2)")
+        for engine, grid in (("euclid-chain", {"denominators": 4}), ("dyadic", {"dyadic_level": 3})):
+            with pytest.raises(EvaluationError, match=r"lattice point \(1/2, 1/2\)") as info:
+                reconstruct_table(F, grid_keys((0, 1), **grid), engine)
+            assert info.value.point == (0.5, 0.5)
+
+    def test_unused_level_node_fails_only_the_pass(self):
+        # the level lists hold 3/8, a pole, which no key of the table needs:
+        # the walk never asks for it, and the table is the walk's
+        F = bivariate_expression("1/(x-3/8) + x*y")
+        keys = [Fraction(k, 8) for k in range(-16, 17) if k % 8 in (0, 2, 4, 6)] + [Fraction(1, 8)]
+        values = _passed(F, keys, "dyadic")
+        assert isinstance(values, list)
+        assert values == _walked(F, keys, "dyadic")
+
+    def test_row_limit_refusal_is_the_walks(self, monkeypatch):
+        monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 1000)
+        keys = [Fraction(1, 300), Fraction(1, 400), Fraction(1, 500), Fraction(3, 2)]
+        got = _passed(F_EXPO, keys, "euclid-chain")
+        assert got == _walked(F_EXPO, keys, "euclid-chain")
+        assert got[1] == "euclid-chain row sums reach 1197 kernel terms at key 1/300; the limit per call is 1000"
+
+    def test_shared_solver_cache_is_not_written(self):
+        solver = LatticeSolver(F_EXPO)
+        reconstruct_table(F_EXPO, grid_keys((-2, 2), denominators=6), solver=solver)
+        assert all(den == 1 for den in (p[1] for p in solver._h["euclid-chain"]))
+
+
 class TestGridKeys:
     def test_denominator_grid(self):
         keys = grid_keys((0, 1), denominators=4)
@@ -1096,6 +1240,21 @@ class TestJson:
         table = continuous.ReconstructedFunction(
             continuous.KeyGrid([(-1, 3), (1, 2), (7, 1)]), [math.inf, math.nan, -math.inf],
             engine='a"b', normalization={"f'(0)": -0.0, 'q"': 1e300},
+        )
+        self._assert_same_as_json_dumps(table)
+
+    @given(st.dictionaries(
+        st.fractions(-50, 50, max_denominator=40),
+        st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+        max_size=20,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_any_values(self, rows):
+        # finite and non-finite values, rows with and without t_exact
+        keys = sorted(rows)
+        table = continuous.ReconstructedFunction(
+            continuous.KeyGrid.of(keys), [rows[k] for k in keys], engine="dyadic",
+            normalization={"f(0)": 0.5, "f(1)": math.nan},
         )
         self._assert_same_as_json_dumps(table)
 

@@ -50,6 +50,18 @@ def two_sweeps(F, keys, tol: float = 1e-9) -> list[float]:
     return [-math.sqrt(2.0) * v - f00 for v in integral]
 
 
+def without_repeats(calls):
+    """F's calls with each h1 evaluation after the first at its point
+    dropped: F(0, 0), then four calls per point of h1 (``_dl``)."""
+    seen, kept = set(), calls[:1]
+    for i in range(1, len(calls), 4):
+        point = tuple(calls[i : i + 4])
+        if point not in seen:
+            seen.add(point)
+            kept += point
+    return kept
+
+
 class TestDirectionalDerivative:
     def test_bilinear_gradient(self):
         # grad F = (2y, 2x); along (1/sqrt2, -1/sqrt2) at (1, 0): -sqrt2
@@ -163,7 +175,8 @@ class TestCkReconstruction:
     @settings(max_examples=40, deadline=None)
     def test_one_sweep_equals_two(self, name, keys, negative, positive):
         # the same values, bit for bit, from F called at the same points
-        # in the same order
+        # in the same order, less the repeats at the ends that neighbouring
+        # gaps share: h1 is evaluated once at each key
         F = seed_kernel(name)
         keys = [*keys, negative, positive, Fraction(0)]
         calls, reference_calls = [], []
@@ -177,7 +190,9 @@ class TestCkReconstruction:
 
         got = reconstruct_ck_table(logged(calls), keys).values
         assert got == two_sweeps(logged(reference_calls), keys)
-        assert calls == reference_calls
+        assert calls == without_repeats(reference_calls)
+        gaps = len({k for k in keys if k != 0})  # one per key, out from 0
+        assert len(reference_calls) - len(calls) == 4 * (gaps - 1)
 
     def test_negative_keys(self):
         F = seed_kernel("square")
