@@ -27,10 +27,9 @@ and on the core interval (0, 1/2) by one of two engines:
   dyadic         h(x) = (h(2x) - H(x, x)) / 2, descending from the
                  integer/half lattice (power-of-two denominators only).
 
-A single key is walked: down its line of parents to a known value, then
-back up.  A table is one pass, when F is compiled: h on (0, 1) parents
-first (one list per dyadic level, or the keys' quotient chains), then
-the identities above at each key, with the walk's float operations.
+One evaluator serves single keys and tables alike, key by key: for
+|r| = k + s, h(k) along the binary digits of k, h(s) down its line of
+parents to a cached value and back up, then H(k, s) and H(|r|, -|r|).
 
 Real targets are handled by a limit over dyadic approximants t_j with a
 certified stopping rule.  For d = t - t_j the cocycle relation gives
@@ -52,6 +51,7 @@ the lattice recursion that computes f(t_j).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import weakref
@@ -61,7 +61,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .expressions import EvaluationError, FuncSpec, _i_sub, _sample, _scalar
+from .expressions import EvaluationError, FuncSpec, _i_sub, _sample
 from .rational import euclid_chain  # noqa: F401  benchmark/tracing.py wraps it here
 
 __all__ = [
@@ -79,8 +79,15 @@ __all__ = [
 
 ENGINES = ("euclid-chain", "dyadic")
 
-# Row sums of this many terms or more take one array call, for speed only.
+# Row sums of this many terms or more take array calls, for speed only, of
+# at most _ROW_BLOCK terms each, so a row's memory is bounded.
 _VECTOR_MIN = 128
+_ROW_BLOCK = 1 << 16
+
+# Errors of a kernel term's call: F's compiled scalar form raises Python's,
+# and another callable may raise EvaluationError.  The term is then taken
+# again through LatticeSolver._kernel, which raises at its lattice point.
+_CALL_ERRORS = (ArithmeticError, ValueError, TypeError, EvaluationError)
 
 # grid_keys refuses grids larger than this many keys.
 MAX_GRID_KEYS = 10**6
@@ -117,28 +124,24 @@ class LatticeSolver:
 
     Exact points are reduced integer pairs (num, den) with den > 0, and F
     gets each one as the float num / den, through its compiled scalar form
-    (``expressions._scalar``).  The walk (``_h_value``) caches h per engine
-    by its pair; no Fraction is built below the public methods.  H is not
-    cached, and a recomputed value is the same float; an odd integer
-    2m + 1 builds on h(2m), so an integer grid asks for each H(m, m) once.
-    A table of a compiled F is one pass (``_table``), which gives the
-    walk's values, writes only the integer parts into the cache, and
-    leaves the table to the walk wherever it cannot finish.  Reads and
-    single-key insertions on the h caches are atomic under the interpreter
-    lock, so a solver may be shared across threads that only query values;
-    the bounds of reconstruct_point are per kernel (``_BOUNDS``), not per
-    solver, and safe to share in the same way.
-    The euclid-chain rows of one call of ``h`` or ``reconstruct_table``
-    hold at most MAX_ROW_TERMS kernel terms in all (``_row_sum``).
+    (the rule of ``expressions._scalar``).  One evaluator (``_values``)
+    serves ``h`` and ``reconstruct_table``, and caches h per engine at
+    every nonnegative key and node by its pair, so a table and the single
+    keys after it share the cache; no Fraction is built below the public
+    methods.  H is not cached, and a recomputed value is the same float;
+    an odd integer 2m + 1 builds on h(2m), so an integer grid asks for
+    each H(m, m) once.  Reads and single-key insertions on the h caches
+    are atomic under the interpreter lock, so a solver may be shared
+    across threads that only query values; the bounds of
+    reconstruct_point are per kernel (``_BOUNDS``), not per solver, and
+    safe to share in the same way.  The euclid-chain rows of one call of
+    ``h`` or ``reconstruct_table`` hold at most MAX_ROW_TERMS kernel terms
+    in all (``_row_sum``).
     """
 
     def __init__(self, F):
         self.F = F
         self.F00 = float(F(0.0, 0.0))
-        self._F_at = _scalar(F)
-        # F's compiled scalar form, for the table pass and short rows: the
-        # rule of _scalar, which leaves other callables to their own calls
-        self._compiled = F._compiled[0] if type(F) is FuncSpec else None
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
         self._bounds = None  # F's _BOUNDS entry, read on the first _h_bound call
 
@@ -155,7 +158,7 @@ class LatticeSolver:
             return 0.0  # H(x, 0) = H(0, y) = 0 for any cocycle
         xf, yf = a / b, c / d
         try:
-            val = float(self._F_at(xf, yf)) - self.F00
+            val = float(self.F(xf, yf)) - self.F00
         except EvaluationError as exc:
             raise EvaluationError(
                 f"F not evaluable at lattice point ({Fraction(a, b)}, {Fraction(c, d)}): "
@@ -169,14 +172,14 @@ class LatticeSolver:
             )
         return val
 
-    def _row_sum(self, a: int, b: int, m: int, row_terms: list[int]) -> float:
-        # sum_{i=1..m-1} H(a/b, i*a/b); m can reach b, so a long row takes one
-        # sampled call (its ys exact while b <= 2**53) and exact (Shewchuk)
-        # summation via math.fsum, and a short one F's compiled form, when F
-        # has one.  A pole spoils one row, which calls through _kernel then
-        # report at its lattice point.  row_terms[0] counts the row terms
-        # of the current public call; a row that would take it past
-        # MAX_ROW_TERMS is refused before it is evaluated or allocated.
+    def _row_sum(self, a: int, b: int, m: int, call, row_terms: list[int]) -> float:
+        # sum_{i=1..m-1} H(a/b, i*a/b), exactly (Shewchuk) by math.fsum.  m
+        # can reach b, so a long row takes array calls of _ROW_BLOCK terms
+        # (its ys exact while b <= 2**53), streamed into the sum, and any
+        # other row a generator of F's scalar form; where that raises or
+        # the sum is not finite, _kernel takes the row again and names its
+        # lattice point.  row_terms[0] counts the row terms of the current
+        # public call; a row that would pass MAX_ROW_TERMS is refused first.
         terms = row_terms[0] + m - 1
         if terms > MAX_ROW_TERMS:
             raise ValueError(
@@ -184,195 +187,135 @@ class LatticeSolver:
                 f"the limit per call is {MAX_ROW_TERMS}"
             )
         row_terms[0] = terms
+        f00, x = self.F00, a / b
         if m - 1 >= _VECTOR_MIN and b <= 1 << 53:
-            ys = np.arange(1, m, dtype=np.float64) * float(a) / float(b)
-            try:
-                vals = _sample(self.F, a / b, ys)
-            except EvaluationError:
-                pass
-            else:
-                return math.fsum((vals - self.F00).tolist())
-        elif self._compiled is not None:
-            F, f00, x = self._compiled, self.F00, a / b
-            try:
-                row = math.fsum([F(x, i * a / b) - f00 for i in range(1, m)])
-                if math.isfinite(row):
-                    return row
-            except (ArithmeticError, ValueError, TypeError):
-                pass  # the sum through _kernel below raises it
+            ys = (
+                np.arange(i, min(i + _ROW_BLOCK, m), dtype=np.float64) * float(a) / float(b)
+                for i in range(1, m, _ROW_BLOCK)
+            )
+            row = itertools.chain.from_iterable((_sample(self.F, x, y) - f00).tolist() for y in ys)
+        else:
+            row = (call(x, i * a / b) - f00 for i in range(1, m))
+        try:
+            row = math.fsum(row)
+            if math.isfinite(row):
+                return row
+        except _CALL_ERRORS:
+            pass
         return math.fsum(self._kernel(a, b, i * a, b) for i in range(1, m))
 
     # -- h at rationals --
 
     def h(self, r: Fraction, engine: str = "euclid-chain") -> float:
         r = Fraction(r)
-        _check_engine(engine, [(r.numerator, r.denominator)])
-        return self._h_value(r.numerator, r.denominator, engine, [0])
+        key = (r.numerator, r.denominator)
+        _check_engine(engine, [key])
+        return self._values([key], engine)[0]
 
-    def _h_value(self, num: int, den: int, engine: str, row_terms: list[int]) -> float:
-        # h(num/den) by one loop: down the line of parents (module
-        # docstring) to a cached value or to h(0) = h(1) = 0, then back up,
-        # applying each key's identity.  Kernel terms are taken on the way
-        # up, so F is called in the order a recursion would call it.
-        cache = self._h[engine]
-        hv = cache.get((num, den))
-        if hv is not None:  # most calls, in a grid
-            return hv
-        path = []
-        hk = None  # h(k) at the path's one key k + s: below it, all keys lie in [0, 1)
-        while hv is None:
-            if num == 0 or num == den:
-                hv = 0.0
-                break
-            path.append((num, den))
-            if num < 0:
-                num = -num
-            elif den == 1:
-                num = num - 1 if num & 1 else num >> 1
-            elif num > den:
-                # h(k) before s, so the first pole reported is the one
-                # at the integer part
-                hk = self._h_value(num // den, 1, engine, row_terms)
-                num %= den
-            elif 2 * num == den:
-                break
-            elif 2 * num > den:
-                num = den - num
-            elif engine == "dyadic":
-                den >>= 1  # num is odd, so 2r is reduced
-            else:
-                num, den = _chain_next(num, den)
-            hv = cache.get((num, den))
-        while path:
-            num, den = key = path.pop()
-            if num < 0:
-                hv = -hv - self._kernel(-num, den, num, den)
-            elif den == 1:
-                if num & 1:
-                    hv += self._kernel(1, 1, num - 1, 1)
-                else:
-                    m = num >> 1
-                    hv = 2.0 * hv + self._kernel(m, 1, m, 1)
-            elif num > den:
-                hv = hk + hv + self._kernel(num // den, 1, num % den, den)
-            elif 2 * num == den:
-                hv = -self._kernel(1, 2, 1, 2) / 2.0
-            elif 2 * num > den:
-                hv = -hv - self._kernel(num, den, den - num, den)
-            elif engine == "dyadic":
-                hv = (hv - self._kernel(num, den, num, den)) / 2.0
-            else:
-                (c, d), m = _chain_next(num, den), den // num
-                row = self._row_sum(num, den, m, row_terms)
-                hv = -(row + self._kernel(c, d, d - c, d) + hv) / m
-            cache[key] = hv
-        return hv
-
-    # -- h at the keys of a table --
-
-    def _table(self, pairs: list[tuple[int, int]], engine: str) -> list[float]:
-        # h at every key, in key order: one pass when F is compiled, else,
-        # and wherever the pass stops short, the walk, key by key
-        if self._compiled is not None:
-            try:
-                values = self._pass(pairs, engine)
-            except (ArithmeticError, ValueError, TypeError, EvaluationError):
-                values = None  # the walk raises the error, at its point
-            if values is not None and all(map(math.isfinite, values)):
-                return values
-        row_terms = [0]  # the row-work limit holds per table
-        return [self._h_value(num, den, engine, row_terms) for num, den in pairs]
-
-    def _pass(self, pairs: list[tuple[int, int]], engine: str) -> list[float] | None:
-        # The walk's values, bit for bit, with no per-key walk: h on (0, 1)
-        # comes parents first, each node once, then the key identities are
-        # applied in the walk's operation order.  F is called at the walk's
-        # float points; its Python errors and non-finite values (which
-        # reach the result through + - / and fsum) are the caller's to
-        # catch.  None, returned before F is called, leaves the table to
-        # the walk.
-        F, f00 = self._compiled, self.F00
-        frac = (self._dyadic_values if engine == "dyadic" else self._chain_values)(pairs)
-        if frac is None:
-            return None
-        ints = self._h[engine]  # h at an integer comes from the walk, which caches it
-        out = []
+    def _values(self, pairs: list[tuple[int, int]], engine: str) -> list[float]:
+        # h at each key (num, den), in order.  For |r| = k + s: h(k); h(s),
+        # down its line of parents (1 - x on (1/2, 1), 2x or the quotient
+        # chain's next node on (0, 1/2)) to a cached value, 1/2 or 0, then
+        # back up; H(k, s); and H(|r|, -|r|) for r < 0: the order in which
+        # a recursion on the identities calls F.  A term calls F's scalar
+        # form (the rule of _scalar), inline, as a call per term or node
+        # costs a dense table several percent; where it raises or H is not
+        # finite, _kernel takes the term again and raises at its lattice
+        # point.  h is cached at every nonnegative key and node.
+        F, f00, kernel, isfinite, nan = self.F, self.F00, self._kernel, math.isfinite, math.nan
+        call = F._compiled[0] if type(F) is FuncSpec else lambda x, y: float(F(x, y))
+        cache, dyadic, row_terms, out = self._h[engine], engine == "dyadic", [0], []
         for num, den in pairs:
             n = -num if num < 0 else num
-            k, s = divmod(n, den)
-            hv = ints.get((k, 1)) if k > 1 else 0.0
+            hv = cache.get((n, den))
             if hv is None:
-                hv = self._h_value(k, 1, engine, [0])
-            if s:
-                hs = frac(s, den)
-                hv = hv + hs + (F(float(k), s / den) - f00) if k else hs
-            if num < 0:
+                k, s = divmod(n, den)
+                hv = cache.get((k, 1)) if k > 1 else 0.0
+                if hv is None:
+                    hv = self._integer(k, cache, call)
+                # for k = 0 the key is (s, den), just looked up
+                hs = cache.get((s, den)) if k and s else None if s else 0.0
+                if hs is None:
+                    path, node = [], (s, den)
+                    while hs is None:
+                        path.append(node)
+                        p, q = node
+                        if 2 * p == q:
+                            break
+                        node = (q - p, q) if 2 * p > q else (p, q >> 1) if dyadic else _chain_next(p, q)
+                        hs = cache.get(node) if node[0] else 0.0
+                    for node in reversed(path):
+                        p, q = node
+                        if dyadic and 2 * p < q or 2 * p == q:
+                            # h(x) = (h(2x) - H(x, x)) / 2, h(1/2) = -H(1/2, 1/2) / 2
+                            x = p / q
+                            try:
+                                t = call(x, x) - f00
+                            except _CALL_ERRORS:
+                                t = nan  # _kernel raises the call's error
+                            if not isfinite(t):
+                                t = kernel(p, q, p, q)
+                            hs = (hs - t) / 2.0 if 2 * p < q else -t / 2.0
+                        else:
+                            # h(x) = -h(1-x) - H(x, 1-x) on (1/2, 1), and
+                            # h(p/q) = -(S + H(c/d, 1 - c/d) + h(c/d)) / m
+                            c, d, m = p, q, 0
+                            if 2 * p < q:
+                                m = q // p
+                                row = self._row_sum(p, q, m, call, row_terms)
+                                c, d = _chain_next(p, q)
+                            t = 0.0  # H(0, 1)
+                            if c:
+                                try:
+                                    t = call(c / d, (d - c) / d) - f00
+                                except _CALL_ERRORS:
+                                    t = nan
+                                if not isfinite(t):
+                                    t = kernel(c, d, d - c, d)
+                            hs = -(row + t + hs) / m if m else -hs - t
+                        cache[node] = hs
+                if k and s:  # h(k + s) = h(k) + h(s) + H(k, s)
+                    try:
+                        t = call(float(k), s / den) - f00
+                    except _CALL_ERRORS:
+                        t = nan
+                    if not isfinite(t):
+                        t = kernel(k, 1, s, den)
+                    cache[n, den] = hv = hv + hs + t
+                elif s:
+                    hv = hs
+            if num < 0:  # h(-r) = -h(r) - H(r, -r)
                 x = n / den
-                hv = -hv - (F(x, -x) - f00)
+                try:
+                    t = call(x, -x) - f00
+                except _CALL_ERRORS:
+                    t = nan
+                if not isfinite(t):
+                    t = kernel(n, den, num, den)
+                hv = -hv - t
             out.append(hv)
         return out
 
-    def _dyadic_values(self, pairs):
-        # h(i / 2**l), i odd, in one list per level l up to the finest key's
-        # L: h(x) = (h(2x) - H(x, x)) / 2 on (0, 1/2), then
-        # h(x) = -h(1-x) - H(x, 1-x) on (1/2, 1).  The lists hold 2**L - 1
-        # values, so a table of far fewer keys is left to the walk.
-        top = max(map(itemgetter(1), pairs), default=1)
-        if top > 4 * len(pairs):
-            return None
-        F, f00 = self._compiled, self.F00
-        levels = [[], [-(F(0.5, 0.5) - f00) / 2.0]] if top > 1 else []
-        for level in range(2, top.bit_length()):
-            prev, step = levels[-1], 1 << level
-            xs = [i / step for i in range(1, step, 2)]
-            lower = [(hv - (F(x, x) - f00)) / 2.0 for hv, x in zip(prev, xs)]
-            low_xs = reversed(xs[: len(prev)])
-            levels.append(lower + [
-                -hv - (F(x, y) - f00) for hv, x, y in zip(reversed(lower), xs[len(prev):], low_xs)
-            ])
-        return lambda s, den: levels[den.bit_length() - 1][s >> 1]
-
-    def _chain_values(self, pairs):
-        # h on (0, 1/2) at the quotient chains of the keys' fractional
-        # parts (reflected there from (1/2, 1)): the chains are listed
-        # first, each node after its parent (n mod p)/n, and their row
-        # terms summed, so a table past MAX_ROW_TERMS is left to the walk
-        # before F is called; then 1/2 and the reflections, once each
-        F, f00 = self._compiled, self.F00
-        seen, order, terms = {(0, 1)}, [], 0
-        for num, den in pairs:
-            s = abs(num) % den
-            if 2 * s == den:
-                continue
-            node = (s, den) if 2 * s < den else (den - s, den)
-            path = []
-            while node not in seen:
-                seen.add(node)
-                p, n = node
-                node = _chain_next(p, n)
-                path.append((p, n, node))
-                terms += n // p - 1
-            order += reversed(path)
-        if terms > MAX_ROW_TERMS:
-            return None
-        h, row_terms = {(0, 1): 0.0}, [0]
-        for p, n, (c, d) in order:
-            m = n // p
-            row = self._row_sum(p, n, m, row_terms)
-            bridge = F(c / d, (d - c) / d) - f00 if c else 0.0
-            h[p, n] = -(row + bridge + h[c, d]) / m
-
-        def frac(s: int, den: int) -> float:
-            hv = h.get((s, den))
-            if hv is None:  # 1/2 or a key on (1/2, 1), the first time
-                if 2 * s == den:
-                    hv = -(F(0.5, 0.5) - f00) / 2.0
-                else:
-                    hv = -h[den - s, den] - (F(s / den, (den - s) / den) - f00)
-                h[s, den] = hv
-            return hv
-
-        return frac
+    def _integer(self, k: int, cache: dict, call) -> float:
+        # h(k) for an integer k >= 2, along its binary digits, down to a
+        # cached value or h(1) = 0: h(2m) = 2 h(m) + H(m, m) and
+        # h(m + 1) = h(m) + H(1, m), so h(2m + 1) reuses h(2m); terms as
+        # in _values
+        path, hv = [], None
+        while hv is None:
+            path.append(k)
+            k = k - 1 if k & 1 else k >> 1
+            hv = cache.get((k, 1)) if k > 1 else 0.0
+        for k in reversed(path):
+            a, c = (1, k - 1) if k & 1 else (k >> 1, k >> 1)
+            try:
+                t = call(float(a), float(c)) - self.F00
+            except _CALL_ERRORS:
+                t = math.nan
+            if not math.isfinite(t):
+                t = self._kernel(a, 1, c, 1)
+            cache[k, 1] = hv = hv + t if k & 1 else 2.0 * hv + t
+        return hv
 
     def f_value(self, r: Fraction, engine: str = "euclid-chain") -> float:
         return self.h(r, engine) - self.F00
@@ -689,20 +632,17 @@ def reconstruct_table(
     """Reconstruct f at the given rational keys, sorted and deduplicated
     (a KeyGrid from grid_keys is used as it is).
 
-    A FuncSpec F is solved in one pass, parents first; any other callable,
-    a dyadic table whose level lists would hold over four times as many
-    values as it has keys, euclid-chain rows past MAX_ROW_TERMS, and an
-    error or non-finite value in the pass leave the table to the walk of
-    ``LatticeSolver.h``, key by key.  Both give the same values, and every
-    error is the walk's.  A shared ``solver`` lends its cache to the walk;
-    the pass reads only its integer parts."""
+    The keys are evaluated in order by the evaluator of
+    ``LatticeSolver.h``, so each value is h's, and an error names the
+    first lattice point at which F fails.  A shared ``solver`` lends its
+    cache, and keeps h at the table's nonnegative keys."""
     solver = solver or LatticeSolver(F)
     grid = KeyGrid.of(keys)
     _check_engine(engine, grid.pairs)
     f00 = solver.F00
     return ReconstructedFunction(
         keys=grid,
-        values=[hv - f00 for hv in solver._table(grid.pairs, engine)],
+        values=[hv - f00 for hv in solver._values(grid.pairs, engine)],
         engine=engine,
         normalization={"f(0)": -f00, "f(1)": -f00},
     )

@@ -3,7 +3,9 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -111,6 +113,20 @@ class ReferenceSolver:
                 self._h[key] = -(self._row_sum(nodes[j], m) + bridge + h_next) / m
             h_next = self._h[key]
         return h_next
+
+
+class CountingSpec(FuncSpec):
+    """A FuncSpec that logs its calls in ``calls``.  The solver calls a
+    subclass through F(x, y), not through the compiled form, so every
+    scalar call of F is logged."""
+
+    def __init__(self, spec: FuncSpec):
+        super().__init__(spec.ast, spec.variables)
+        object.__setattr__(self, "calls", [])
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return super().__call__(*args)
 
 
 KERNELS = {
@@ -572,24 +588,19 @@ class TestLimitWalk:
     @pytest.mark.parametrize("name,t", [("sine", 4924.6281), ("cube", 25000.123)])
     def test_one_walk_per_point(self, monkeypatch, name, t):
         # the bound needs no value of f, so the lattice is walked once, at
-        # the level returned: 61 and 73 kernel calls, where a walk at every
-        # level took 337 and 460
-        kernel, f_value = LatticeSolver._kernel, LatticeSolver.f_value
-        calls = {"kernel": 0, "f_value": 0}
-
-        def counted_kernel(self, *args):
-            calls["kernel"] += 1
-            return kernel(self, *args)
+        # the level returned: F(0, 0) and 61 and 73 kernel terms, where a
+        # walk at every level took 337 and 460
+        f_value, calls = LatticeSolver.f_value, []
 
         def counted_f_value(self, *args, **kwargs):
-            calls["f_value"] += 1
+            calls.append(args)
             return f_value(self, *args, **kwargs)
 
-        monkeypatch.setattr(LatticeSolver, "_kernel", counted_kernel)
         monkeypatch.setattr(LatticeSolver, "f_value", counted_f_value)
-        got = reconstruct_point(seed_kernel(name), t, epsilon=1e-6)
-        assert calls["f_value"] == 1
-        assert calls["kernel"] < 100
+        F = CountingSpec(seed_kernel(name))
+        got = reconstruct_point(F, t, epsilon=1e-6)
+        assert len(calls) == 1
+        assert len(F.calls) < 100
         assert got == reference_point(seed_kernel(name), t)
 
 
@@ -803,34 +814,80 @@ class TestRowWork:
             table = reconstruct_table(F_BILINEAR, [r], solver=solver)
             assert table.values == [ReferenceSolver(F_BILINEAR).h(r) - solver.F00]
 
+    def test_long_row_is_the_scalar_sum(self):
+        # h(1/n) = -(S + H(0, 1) + h(0)) / n, S = sum_{i=1..n-1} H(1/n, i/n):
+        # the row's 16 blocks of array calls give the scalar calls' sum
+        F, n = seed_kernel("sine"), 2**20
+        call, f00 = F._compiled[0], F(0.0, 0.0)
+        row = math.fsum(call(1 / n, i / n) - f00 for i in range(1, n))
+        assert LatticeSolver(F).h(Fraction(1, n)) == -(row + 0.0 + 0.0) / n
 
-def _walked(F, keys, engine):
-    """The table of a compiled F as the walk computes it, key by key: F
-    behind a plain callable, which the table pass leaves to the walk."""
-    try:
-        return [v.hex() for v in reconstruct_table(lambda x, y: F(x, y), keys, engine).values]
-    except (EvaluationError, ValueError) as exc:
-        return (type(exc), str(exc), getattr(exc, "point", None))
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_overflowing_term_names_its_point_in_any_row(self, n):
+        # F is finite, and F - F(0, 0) overflows at y = 1/2 alone: a row of
+        # 99 scalar terms and one of 199 array terms both name the point
+        bump = "1e308*exp(-1000000*(y-0.5)^2)"
+        F = bivariate_expression(f"{bump} - 1.7e308 + {bump}")
+        with pytest.raises(EvaluationError) as exc, np.errstate(over="ignore"):
+            LatticeSolver(F).h(Fraction(1, n))
+        assert str(exc.value) == f"F non-finite at lattice point (1/{n}, 1/2)"
+
+    PEAK_SCRIPT = """
+import resource
+from fractions import Fraction
+from cocycle import LatticeSolver, builtin_seed, cocycle_from_seed
+solver = LatticeSolver(cocycle_from_seed(builtin_seed("sine")))
+solver.h(Fraction(1, 2**10))  # pages in numpy's array code
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+solver.h(Fraction(1, 2**22))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+    def test_long_row_memory_is_bounded(self):
+        # a row of 2**22 - 1 terms in blocks of 2**16: about 4 MiB more
+        # peak memory; one array for the row and its list would take 261 MiB
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PEAK_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 16 * 1024  # ru_maxrss counts KiB on Linux
+
+    def test_row_past_2_to_53_is_streamed(self):
+        # past b = 2**53 the ys i*a/b are not exact in an array, so the row
+        # takes scalar calls, one at a time: a list of its 2**16 terms
+        # alone would take 2 MiB
+        F = seed_kernel("sine")
+        solver, (a, b, m) = LatticeSolver(F), (3, 2**60 + 1, 2**16)
+        want = math.fsum(solver._kernel(a, b, i * a, b) for i in range(1, m))
+        tracemalloc.start()
+        try:
+            got = solver._row_sum(a, b, m, F._compiled[0], [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 18
 
 
-def _passed(F, keys, engine):
+def _table(F, keys, engine):
+    """reconstruct_table's values as hex forms, or its error as (type,
+    message, point)."""
     try:
         return [v.hex() for v in reconstruct_table(F, keys, engine).values]
     except (EvaluationError, ValueError) as exc:
         return (type(exc), str(exc), getattr(exc, "point", None))
 
 
-def _non_integer_walks(monkeypatch) -> list:
-    """The keys other than integers that LatticeSolver._h_value is asked for."""
-    walk, seen = LatticeSolver._h_value, []
-
-    def spy(self, num, den, engine, row_terms):
-        if den != 1:
-            seen.append(Fraction(num, den))
-        return walk(self, num, den, engine, row_terms)
-
-    monkeypatch.setattr(LatticeSolver, "_h_value", spy)
-    return seen
+def _reference(F, keys, engine):
+    """The same table from ReferenceSolver, key by key."""
+    ref = ReferenceSolver(F)
+    return [(ref.h(k, engine) - ref.F00).hex() for k in continuous.KeyGrid.of(keys)]
 
 
 # keys of either engine: negatives, integers, keys above 1, half-integers
@@ -838,7 +895,7 @@ dyadic_keys = st.integers(0, 7).flatmap(
     lambda L: st.integers(-6 << L, 6 << L).map(lambda k: Fraction(k, 1 << L))
 )
 farey_keys = st.integers(1, 40).flatmap(lambda n: st.integers(-6 * n, 6 * n).map(lambda p: Fraction(p, n)))
-# grids dense enough for the level lists, with keys of their own
+# whole grids, with keys of their own
 dyadic_tables = st.tuples(
     st.integers(-4, 3), st.integers(1, 4), st.integers(0, 6), st.lists(dyadic_keys, max_size=8)
 ).map(lambda t: [*grid_keys((t[0], t[0] + t[1]), dyadic_level=t[2]), *t[3]])
@@ -848,12 +905,53 @@ chain_tables = st.one_of(
         lambda t: [*grid_keys((t[0], t[0] + 1), denominators=t[1]), *t[2]]
     ),
 )
+engine_tables = st.one_of(
+    st.tuples(st.just("dyadic"), st.one_of(dyadic_tables, st.lists(dyadic_keys, max_size=30))),
+    st.tuples(st.just("euclid-chain"), chain_tables),
+)
+
+# reconstruct_table's errors, from a pole, an overflowing F, or H = F -
+# F(0, 0) overflowing where F does not: each names the first lattice
+# point at which a recursion on the identities asks for a bad term
+TABLE_ERRORS = [
+    ("1/(x-1/2)", grid_keys((0, 1), denominators=4), "euclid-chain",
+     "F not evaluable at lattice point (1/2, 1/2): float division by zero", (0.5, 0.5)),
+    ("1/(x-1/2)", grid_keys((0, 1), dyadic_level=3), "dyadic",
+     "F not evaluable at lattice point (1/2, 1/2): float division by zero", (0.5, 0.5)),
+    ("1/(y-1/3) + x*y", grid_keys((-3, 3), denominators=9), "euclid-chain",
+     "F not evaluable at lattice point (1/9, 1/3): float division by zero", (1 / 9, 1 / 3)),
+    ("1e308*x*y", grid_keys((-2, 2), denominators=3), "euclid-chain",
+     "F not evaluable at lattice point (2, -2): non-finite result", (2.0, -2.0)),
+    ("1e308*x*y", grid_keys((-2, 2), dyadic_level=3), "dyadic",
+     "F not evaluable at lattice point (2, -2): non-finite result", (2.0, -2.0)),
+    ("exp(1000*x*y)", grid_keys((-2, 2), dyadic_level=4), "dyadic",
+     "F not evaluable at lattice point (1, 1): math range error", (1.0, 1.0)),
+    # no key asks for log(x+1) at x <= -1: the reference's values
+    ("log(x+1)", grid_keys((-2, 2), denominators=5), "euclid-chain", None, None),
+    # 1/(x - 3/8) is a pole on (0, 1) that only the key 3/8 asks for
+    ("1/(x-3/8) + x*y", [*grid_keys((0, 1), dyadic_level=2), Fraction(-3, 8)], "dyadic",
+     "F not evaluable at lattice point (3/8, 3/8): float division by zero", (0.375, 0.375)),
+    ("1/(x-3/8) + x*y", grid_keys((-1, 1), dyadic_level=3), "dyadic",
+     "F not evaluable at lattice point (3/8, 3/8): float division by zero", (0.375, 0.375)),
+    # F is finite, and F - F(0, 0) overflows from x*y = 0.9 on: first at
+    # (1, 15/16), for the key 31/16, before the integer 2 asks for (1, 1)
+    ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, 2), dyadic_level=4), "dyadic",
+     "F non-finite at lattice point (1, 15/16)", (1.0, 0.9375)),
+    ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, 2), denominators=16), "euclid-chain",
+     "F non-finite at lattice point (1, 9/10)", (1.0, 0.9)),
+    # the same without the integer 2
+    ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, Fraction(31, 16)), dyadic_level=4), "dyadic",
+     "F non-finite at lattice point (1, 15/16)", (1.0, 0.9375)),
+    ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, Fraction(19, 10)), denominators=10), "euclid-chain",
+     "F non-finite at lattice point (1, 9/10)", (1.0, 0.9)),
+]
 
 
 class TestTablePass:
-    """reconstruct_table computes a compiled F's table in one pass; it
-    equals the walk's table bit for bit, and where the pass fails the walk
-    takes the table over and raises the walk's error."""
+    """reconstruct_table and LatticeSolver.h share one evaluator, so a
+    table is checked against ReferenceSolver, key by key, and its errors
+    against the lattice points a recursion on the identities reaches
+    first."""
 
     # the zero kernel's values are signed zeros, which the hex forms tell apart
     KERNELS = {**{name: seed_kernel(name) for name in ALL_SEEDS}, "2*x*y": F_BILINEAR, "0": F_ZERO}
@@ -862,62 +960,36 @@ class TestTablePass:
     @settings(max_examples=60, deadline=None)
     def test_dyadic_table_equals_walk(self, name, keys):
         F = self.KERNELS[name]
-        solver = LatticeSolver(F)
-        want = [(solver.h(k, "dyadic") - solver.F00).hex() for k in continuous.KeyGrid.of(keys)]
-        assert [v.hex() for v in reconstruct_table(F, keys, "dyadic").values] == want
+        assert _table(F, keys, "dyadic") == _reference(F, keys, "dyadic")
 
     @given(st.sampled_from(sorted(KERNELS)), chain_tables)
     @settings(max_examples=60, deadline=None)
     def test_chain_table_equals_walk(self, name, keys):
         F = self.KERNELS[name]
+        assert _table(F, keys, "euclid-chain") == _reference(F, keys, "euclid-chain")
+
+    @given(st.sampled_from(sorted(KERNELS)), engine_tables)
+    @settings(max_examples=40, deadline=None)
+    def test_shared_cache_gives_fresh_values(self, name, engine_keys):
+        # a table fills the shared solver's cache, and h then reads it
+        F, (engine, keys) = self.KERNELS[name], engine_keys
         solver = LatticeSolver(F)
-        want = [(solver.h(k) - solver.F00).hex() for k in continuous.KeyGrid.of(keys)]
-        assert [v.hex() for v in reconstruct_table(F, keys).values] == want
+        reconstruct_table(F, keys, engine, solver=solver)
+        got = [solver.h(k, engine).hex() for k in keys]
+        assert got == [LatticeSolver(F).h(k, engine).hex() for k in keys]
 
     def test_long_rows_equal_walk(self):
-        # rows of 128 terms and more keep their array call
+        # rows of 128 terms and more take array calls
         keys = [Fraction(1, n) for n in (100, 129, 300, 1000)] + [Fraction(-7, 300), Fraction(5, 2)]
-        assert _passed(F_EXPO, keys, "euclid-chain") == _walked(F_EXPO, keys, "euclid-chain")
+        assert _table(F_EXPO, keys, "euclid-chain") == _reference(F_EXPO, keys, "euclid-chain")
 
-    @pytest.mark.parametrize("engine,keys", [
-        ("euclid-chain", grid_keys((-2, 2), denominators=12)),
-        ("dyadic", grid_keys((-2, 2), dyadic_level=6)),
-    ])
-    def test_grid_takes_the_pass(self, engine, keys, monkeypatch):
-        walked = _non_integer_walks(monkeypatch)
-        assert reconstruct_table(F_EXPO, keys, engine).values
-        assert walked == []
-
-    def test_narrow_deep_dyadic_table_takes_the_walk(self, monkeypatch):
-        # 2**520 values in the level lists for 34 keys: the walk is cheaper
-        keys = grid_keys((0, 1e-155), dyadic_level=520)
-        want = _walked(F_EXPO, keys, "dyadic")
-        walked = _non_integer_walks(monkeypatch)
-        assert _passed(F_EXPO, keys, "dyadic") == want
-        assert len(walked) == len(keys) - 1  # every key but 0
-
-    @pytest.mark.parametrize("expr,keys,engine", [
-        ("1/(x-1/2)", grid_keys((0, 1), denominators=4), "euclid-chain"),
-        ("1/(x-1/2)", grid_keys((0, 1), dyadic_level=3), "dyadic"),
-        ("1/(y-1/3) + x*y", grid_keys((-3, 3), denominators=9), "euclid-chain"),
-        ("1e308*x*y", grid_keys((-2, 2), denominators=3), "euclid-chain"),
-        ("1e308*x*y", grid_keys((-2, 2), dyadic_level=3), "dyadic"),
-        ("exp(1000*x*y)", grid_keys((-2, 2), dyadic_level=4), "dyadic"),
-        ("log(x+1)", grid_keys((-2, 2), denominators=5), "euclid-chain"),
-        # 1/(x - 3/8) is a pole on the level lists that only the key 3/8 uses
-        ("1/(x-3/8) + x*y", [*grid_keys((0, 1), dyadic_level=2), Fraction(-3, 8)], "dyadic"),
-        ("1/(x-3/8) + x*y", grid_keys((-1, 1), dyadic_level=3), "dyadic"),
-        # F is finite, and F - F(0, 0) overflows from x*y = 0.9 on: first at
-        # (1, 15/16), for the key 31/16, before the integer 2 asks for (1, 1)
-        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, 2), dyadic_level=4), "dyadic"),
-        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, 2), denominators=16), "euclid-chain"),
-        # the same without the integer 2: the pass returns inf, no error
-        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, Fraction(31, 16)), dyadic_level=4), "dyadic"),
-        ("1e308*x*y - 1.7e308 + 1e308*x*y", grid_keys((0, Fraction(19, 10)), denominators=10), "euclid-chain"),
-    ])
+    @pytest.mark.parametrize("expr,keys,engine", [case[:3] for case in TABLE_ERRORS])
     def test_errors_are_the_walks(self, expr, keys, engine):
         F = bivariate_expression(expr)
-        assert _passed(F, keys, engine) == _walked(F, keys, engine)
+        message, point = next(case[3:] for case in TABLE_ERRORS if case[1] is keys)
+        want = _reference(F, keys, engine) if message is None else (EvaluationError, message, point)
+        assert _table(F, keys, engine) == want
+        assert _table(lambda x, y: F(x, y), keys, engine) == want  # a plain callable
 
     def test_pole_names_the_lattice_point(self):
         F = bivariate_expression("1/(x-1/2)")
@@ -927,25 +999,21 @@ class TestTablePass:
             assert info.value.point == (0.5, 0.5)
 
     def test_unused_level_node_fails_only_the_pass(self):
-        # the level lists hold 3/8, a pole, which no key of the table needs:
-        # the walk never asks for it, and the table is the walk's
+        # 3/8, a pole, lies between these keys at their finest level, and
+        # no key asks for it: F is never called there
         F = bivariate_expression("1/(x-3/8) + x*y")
         keys = [Fraction(k, 8) for k in range(-16, 17) if k % 8 in (0, 2, 4, 6)] + [Fraction(1, 8)]
-        values = _passed(F, keys, "dyadic")
-        assert isinstance(values, list)
-        assert values == _walked(F, keys, "dyadic")
+        assert _table(F, keys, "dyadic") == _reference(F, keys, "dyadic")
 
     def test_row_limit_refusal_is_the_walks(self, monkeypatch):
+        # in key order, rows of 499 and 399 terms fit, and one of 299 more would not
         monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 1000)
         keys = [Fraction(1, 300), Fraction(1, 400), Fraction(1, 500), Fraction(3, 2)]
-        got = _passed(F_EXPO, keys, "euclid-chain")
-        assert got == _walked(F_EXPO, keys, "euclid-chain")
-        assert got[1] == "euclid-chain row sums reach 1197 kernel terms at key 1/300; the limit per call is 1000"
-
-    def test_shared_solver_cache_is_not_written(self):
-        solver = LatticeSolver(F_EXPO)
-        reconstruct_table(F_EXPO, grid_keys((-2, 2), denominators=6), solver=solver)
-        assert all(den == 1 for den in (p[1] for p in solver._h["euclid-chain"]))
+        assert _table(F_EXPO, keys, "euclid-chain") == (
+            ValueError,
+            "euclid-chain row sums reach 1197 kernel terms at key 1/300; the limit per call is 1000",
+            None,
+        )
 
 
 class TestGridKeys:
