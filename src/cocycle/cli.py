@@ -157,14 +157,12 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
         raise ValueError(f"check --box must be positive, got {cfg.box}")
     if cfg.samples < 1:
         raise ValueError(f"check --samples must be at least 1, got {cfg.samples}")
-    rng = random.Random(cfg.rng_seed)
-    span = cfg.box
-
-    def draw():
-        return rng.uniform(-span, span)
-
-    triples = [(draw(), draw(), draw()) for _ in range(cfg.samples)]
-    pairs = [(draw(), draw()) for _ in range(cfg.samples)]
+    # random.uniform(-span, span)'s own formula, inline: the same stream
+    rnd = random.Random(cfg.rng_seed).random
+    lo, width = -cfg.box, cfg.box - -cfg.box
+    triples = [(lo + width * rnd(), lo + width * rnd(), lo + width * rnd())
+               for _ in range(cfg.samples)]
+    pairs = [(lo + width * rnd(), lo + width * rnd()) for _ in range(cfg.samples)]
     report = kurepa_residual(F, triples, tolerance=cfg.tolerance)
     report.results.extend(symmetry_residual(F, pairs, tolerance=cfg.tolerance).results)
     return _emit_report(cfg, report)

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .continuous import LatticeSolver, ReconstructedFunction
-from .expressions import _sample, _scalar
+from .continuous import _CALL_ERRORS, LatticeSolver, ReconstructedFunction
+from .expressions import FuncSpec, _sample, _scalar
 from .rational import format_rational
 
 __all__ = [
@@ -55,6 +55,10 @@ _BLOCK_POINTS = 1 << 16
 # than this, summed over the deltas, is refused before it is sampled.
 _GRID_CELL_LIMIT = 1 << 23
 _WINDOW_WORK_LIMIT = 1 << 31
+
+# The window maxima bound the disk maxima of square blocks of this many
+# cells per side, and skip the blocks that cannot hold the maximum.
+_WINDOW_BLOCK = 8
 
 
 def _jsonable(value):
@@ -113,14 +117,24 @@ class VerificationReport:
 
 # --- residual checks ---------------------------------------------------
 
-def _residual_report(check: str, points, residual_fn, tolerance: float) -> VerificationReport:
-    """One-result report of the largest |residual_fn(pt)| over the points,
-    with the point attaining it as the witness.  The first NaN residual is
-    the largest: the check fails and reports it."""
+def _residual_report(check: str, F, points, residuals, tolerance: float) -> VerificationReport:
+    """One-result report of the largest |residual| over the points, with
+    the point attaining it as the witness.  ``residuals(F, points)`` lists
+    the residuals at the points, taken at float coordinates.  It gets F's
+    compiled scalar form (the rule of _scalar), to call inline: a wrapper
+    call per term took about 40% of a seed kernel's scan.  Where that
+    raises it runs again with _scalar(F), whose error names the point.  The
+    first NaN residual is the largest: the check fails and reports it."""
+    samples = len(points) if hasattr(points, "__len__") else None
+    points = list(points)
+    try:
+        values = residuals(F._compiled[0] if type(F) is FuncSpec else F, points)
+    except _CALL_ERRORS:
+        values = residuals(_scalar(F), points)
     worst = -1.0
     witness = None
-    for pt in points:
-        r = abs(residual_fn(pt))
+    for pt, r in zip(points, values):
+        r = abs(r)
         if r > worst or (math.isnan(r) and not math.isnan(worst)):
             worst = r
             witness = pt
@@ -128,7 +142,7 @@ def _residual_report(check: str, points, residual_fn, tolerance: float) -> Verif
         raise ValueError("empty sample set")
     result = CheckResult(
         check=check,
-        params={"samples": len(points) if hasattr(points, "__len__") else None},
+        params={"samples": samples},
         passed=worst <= tolerance,
         tolerance=tolerance,
         max_residual=worst,
@@ -139,24 +153,22 @@ def _residual_report(check: str, points, residual_fn, tolerance: float) -> Verif
 
 def kurepa_residual(F, triples, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Largest violation of F(x+y,z) + F(x,y) = F(y,z) + F(x,y+z)."""
-    F = _scalar(F)
 
-    def resid(pt):
-        x, y, z = (float(v) for v in pt)
-        return F(x + y, z) + F(x, y) - F(y, z) - F(x, y + z)
+    def residuals(F, points):
+        floats = [(float(x), float(y), float(z)) for x, y, z in points]
+        return [F(x + y, z) + F(x, y) - F(y, z) - F(x, y + z) for x, y, z in floats]
 
-    return _residual_report("kurepa", triples, resid, tolerance)
+    return _residual_report("kurepa", F, triples, residuals, tolerance)
 
 
 def symmetry_residual(F, pairs, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Largest violation of F(x, y) = F(y, x)."""
-    F = _scalar(F)
 
-    def resid(pt):
-        x, y = (float(v) for v in pt)
-        return F(x, y) - F(y, x)
+    def residuals(F, points):
+        floats = [(float(x), float(y)) for x, y in points]
+        return [F(x, y) - F(y, x) for x, y in floats]
 
-    return _residual_report("symmetry", pairs, resid, tolerance)
+    return _residual_report("symmetry", F, pairs, residuals, tolerance)
 
 
 def cocycle_residual(F, f, pairs, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
@@ -165,15 +177,15 @@ def cocycle_residual(F, f, pairs, tolerance: float = DEFAULT_TOLERANCE) -> Verif
     ``f`` may be a callable or a sample table; table lookups outside the
     stored keys raise LookupError (tables carry no extension rule).
     """
-    F = _scalar(F)
 
-    def resid(pt):
-        x, y = pt
-        total = x + y  # exact when x, y are Fractions
-        lhs = float(F(float(x), float(y)))
-        return lhs - (float(f(total)) - float(f(x)) - float(f(y)))
+    def residuals(F, points):
+        # x + y is exact when x, y are Fractions
+        return [
+            float(F(float(x), float(y))) - (float(f(x + y)) - float(f(x)) - float(f(y)))
+            for x, y in points
+        ]
 
-    return _residual_report("cocycle", pairs, resid, tolerance)
+    return _residual_report("cocycle", F, pairs, residuals, tolerance)
 
 
 # --- modulus estimation -----------------------------------------------
@@ -206,40 +218,138 @@ def _reach(delta: float, step: float, n: int) -> int:
 
 def _widen(rm: np.ndarray) -> None:
     """Grow a running max along the last axis by one index on each side,
-    in place: rm[..., j] becomes max(rm[..., j-1], rm[..., j], rm[..., j+1])."""
-    np.maximum(rm[..., :-1], rm[..., 1:], out=rm[..., :-1])
-    np.maximum(rm[..., 1:], rm[..., :-1], out=rm[..., 1:])
+    in place: rm[..., j] becomes max(rm[..., j-1], rm[..., j], rm[..., j+1]).
+    It runs a block of about _BLOCK_POINTS cells at a time, so the copy that
+    numpy makes of the overlapping operand stays in cache."""
+    rows = max(1, _BLOCK_POINTS // rm.shape[-1])
+    for i in range(0, len(rm), rows):
+        r = rm[i : i + rows]
+        np.maximum(r[..., :-1], r[..., 1:], out=r[..., :-1])
+        np.maximum(r[..., 1:], r[..., :-1], out=r[..., 1:])
 
 
-def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> float:
-    """max |vals[a] - vals[b]| over grid pairs with |a - b| <= delta.
+def _dilation_max(vals: np.ndarray, ilim: int, jlim: int, sx: float, sy: float, d2: float) -> float:
+    """max over cells a of the max of vals over a's disk, minus vals[a].
 
-    The disk max of ``vals`` (a dilation) is built one offset row di at a
-    time: a running max over columns whose half-width w(di) only grows as
-    di falls, folded in at row shifts +di and -di.  That is about
-    2 * (imax + jmax) in-place passes over two grid-sized buffers, so the
-    cost is O(N^2 * delta/h) for an N x N grid of step h.  The offsets are
-    exactly those of the pairwise definition.  The sup of |v(a) - v(b)|
-    over a window equals the max over a of the window max of v around a,
-    minus v(a); float subtraction rounds monotonically, so the result is
-    exactly the pairwise maximum.
-    """
-    n0, n1 = vals.shape
-    imax, jmax = _reach(delta, sx, n0), _reach(delta, sy, n1)
-    d2 = delta * delta * (1.0 + 1e-12)
+    The disk max (a dilation) is built one offset row di at a time: a
+    running max over columns whose half-width w(di) only grows as di
+    falls, folded in at row shifts +di and -di.  That is about
+    2 * (ilim + jlim) in-place passes over two buffers of vals' size.  The
+    offsets are exactly those of the pairwise definition, clipped at vals'
+    edges."""
+    n0 = vals.shape[0]
     dil = vals.copy()
     rm = vals.copy()
     w = 0
-    for di in range(imax, -1, -1):
-        if (di * sx) ** 2 > d2:
-            continue  # the whole row lies outside the disk
-        while w < jmax and (di * sx) ** 2 + ((w + 1) * sy) ** 2 <= d2:
+    for di in range(ilim, -1, -1):
+        while w < jlim and (di * sx) ** 2 + ((w + 1) * sy) ** 2 <= d2:
             _widen(rm)
             w += 1
         np.maximum(dil[: n0 - di], rm[di:], out=dil[: n0 - di])
         np.maximum(dil[di:], rm[: n0 - di], out=dil[di:])
     np.subtract(dil, vals, out=dil)
     return float(dil.max())
+
+
+def _offset_max(vals: np.ndarray, i: int, j: int) -> float:
+    """max |vals[a] - vals[b]| over the pairs at offset i along the rows or
+    j along the columns, one grid-sized temporary at a time."""
+    n0, n1 = vals.shape
+    best = 0.0
+    for hi, lo in ((vals[i:], vals[: n0 - i]), (vals[:, j:], vals[:, : n1 - j])):
+        diff = hi - lo
+        best = max(best, float(np.abs(diff, out=diff).max()))
+    return best
+
+
+def _block_reduce(ufunc, vals: np.ndarray) -> np.ndarray:
+    """ufunc (np.maximum or np.minimum) reduced over each _WINDOW_BLOCK
+    square block of vals; the blocks at the far edges are ragged."""
+    for _ in range(2):
+        out = vals[::_WINDOW_BLOCK].copy()
+        for k in range(1, _WINDOW_BLOCK):
+            part = vals[k::_WINDOW_BLOCK]
+            ufunc(out[: len(part)], part, out=out[: len(part)])
+        vals = out.T
+    return vals
+
+
+def _runs(flags: np.ndarray, pad: int) -> list[tuple[int, int]]:
+    """The [start, stop) runs of the set indices of ``flags``, split where
+    two set indices lie more than 2 * pad apart, so that the runs padded
+    by pad on each side do not overlap."""
+    idx = np.flatnonzero(flags)
+    cuts = np.flatnonzero(np.diff(idx) > 2 * pad) + 1
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(idx, cuts)]
+
+
+def _boxes(keep: np.ndarray, p0: int, p1: int) -> list[tuple[int, int, int, int]]:
+    """Boxes (r0, r1, c0, c1) that cover the set cells of ``keep`` and do
+    not overlap once padded by p0 rows and p1 columns: a box is cut along
+    rows, else along columns, wherever its padded runs fall apart."""
+    out, todo = [], [(0, keep.shape[0], 0, keep.shape[1])]
+    while todo:
+        r0, r1, c0, c1 = todo.pop()
+        sub = keep[r0:r1, c0:c1]
+        rows, cols = _runs(sub.any(axis=1), p0), _runs(sub.any(axis=0), p1)
+        if len(rows) > 1:
+            todo += [(r0 + a, r0 + b, c0, c1) for a, b in rows]
+        elif len(cols) > 1:
+            todo += [(r0, r1, c0 + a, c0 + b) for a, b in cols]
+        else:
+            out.append((r0 + rows[0][0], r0 + rows[0][1], c0 + cols[0][0], c0 + cols[0][1]))
+    return out
+
+
+def _window_max_2d(vals: np.ndarray, sx: float, sy: float, delta: float) -> float:
+    """max |vals[a] - vals[b]| over grid pairs with |a - b| <= delta, for
+    finite ``vals`` (``_sample`` refuses any other).
+
+    The sup of |v(a) - v(b)| over a window equals the max over a of the
+    window max of v around a, minus v(a); float subtraction rounds
+    monotonically, so that is exactly the pairwise maximum.  It is found by
+    branch and bound around the one dilation pass (``_dilation_max``):
+
+    1. ``best``, a lower bound from real pairs: those at ilim and jlim,
+       the largest offsets along each axis that the disk admits.
+    2. Each _WINDOW_BLOCK square block's max and min; the block maxima
+       dilated by ceil(ilim / _WINDOW_BLOCK) blocks along the rows and
+       ceil(jlim / _WINDOW_BLOCK) along the columns bound the disk max of
+       every cell in a block from above.
+    3. A block can beat ``best`` only if that bound minus its min, rounded,
+       exceeds ``best``; rounding is monotone, so dropping every other
+       block is exact.
+    4. The pass runs on boxes that cover the surviving blocks, padded by
+       ilim rows and jlim columns.  Each cell of a box gives the max over
+       some of its real pairs, and a surviving cell's covers its whole
+       disk, so the max over the boxes and ``best`` is the pairwise
+       maximum.
+
+    Where no block is dropped the pass runs once, on the whole grid: the
+    worst case, about 2 * (ilim + jlim) passes over two grid-sized buffers,
+    O(N^2 * delta/h) for an N x N grid of step h.
+    """
+    n0, n1 = vals.shape
+    d2 = delta * delta * (1.0 + 1e-12)
+    ilim, jlim = _reach(delta, sx, n0), _reach(delta, sy, n1)
+    while (ilim * sx) ** 2 > d2:
+        ilim -= 1
+    while (jlim * sy) ** 2 > d2:
+        jlim -= 1
+    best = _offset_max(vals, ilim, jlim)
+    bmax, bmin = _block_reduce(np.maximum, vals), _block_reduce(np.minimum, vals)
+    p0, p1 = -(-ilim // _WINDOW_BLOCK), -(-jlim // _WINDOW_BLOCK)
+    for _ in range(p0):
+        _widen(bmax.T)
+    for _ in range(p1):
+        _widen(bmax)
+    keep = bmax - bmin > best
+    if keep.any():
+        for r0, r1, c0, c1 in _boxes(keep, p0, p1):
+            r0, r1 = max(0, r0 * _WINDOW_BLOCK - ilim), min(n0, r1 * _WINDOW_BLOCK + ilim)
+            c0, c1 = max(0, c0 * _WINDOW_BLOCK - jlim), min(n1, c1 * _WINDOW_BLOCK + jlim)
+            best = max(best, _dilation_max(vals[r0:r1, c0:c1], ilim, jlim, sx, sy, d2))
+    return best
 
 
 def _layout(deltas, domain, grid_step: float, advice: str = "") -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +361,8 @@ def _layout(deltas, domain, grid_step: float, advice: str = "") -> tuple[np.ndar
         raise ValueError("empty grid: domain must have positive extent")
     nx, ny = (max(1, math.ceil(w / grid_step - 1e-12)) for w in (b - a, d - c))
     cells = (nx + 1) * (ny + 1)
-    # the window maxima make about 2 * reach + 1 passes over the grid per delta
+    # the window maxima make at most about 2 * reach + 1 passes over the
+    # grid per delta, where none of its blocks can be skipped
     passes = sum(
         _reach(t, (b - a) / nx, nx + 1) + _reach(t, (d - c) / ny, ny + 1) + 1
         for t in map(float, deltas)
@@ -270,7 +381,8 @@ def modulus_estimate(fn, delta: float, domain, grid_step: float) -> float:
 
     The grid spans the box with spacing at most ``grid_step`` (which must
     not exceed delta).  With N points per axis and r = delta / grid_step
-    the window maxima cost O(N^2 * r); a grid over the limits that
+    the window maxima cost O(N^2 * r) at worst, where no block of the grid
+    can be skipped (``_window_max_2d``); a grid over the limits that
     ``check_bound_c0`` also keeps raises ValueError before fn is sampled.
     A grid value that is not finite raises EvaluationError.
     """

@@ -621,8 +621,10 @@ class TestReconstructCommand:
 
 class TestGoldens:
     """Output compared byte for byte: the first three recorded before the
-    lattice moved to integer keys, the last three before seed kernels
-    became plain trees and the solver stopped caching H."""
+    lattice moved to integer keys, the next three before seed kernels
+    became plain trees and the solver stopped caching H, and the last two
+    before the window maxima skipped blocks and the residual scans called
+    F's compiled form inline."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -642,6 +644,11 @@ class TestGoldens:
               "--format", "json"]),
             ("verify_bound_hoelder_40.ndjson",
              ["verify-bound", "--seed", "hoelder", "--delta", "1/4", "--denominators", "40"]),
+            # a 2,049^2 kernel grid, where the window maxima skip most blocks
+            ("verify_bound_hoelder_box2.ndjson",
+             ["verify-bound", "--seed", "hoelder", "--box", "2", "--delta", "1/4", "--delta", "1/16",
+              "--delta", "1/64"]),
+            ("check_expo_1000.ndjson", ["check", "--seed", "expo", "--samples", "1000", "--rng-seed", "7"]),
         ],
     )
     def test_output_matches_golden(self, name, argv, tmp_path):

@@ -329,6 +329,49 @@ class TestWindowMaxKernels:
         got = _window_max_2d(vals, sx, sy, delta)
         assert got == _brute_window_max_2d(vals, sx, sy, delta)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n0=st.integers(20, 80),
+        n1=st.integers(20, 80),
+        sx=st.sampled_from([1 / 64, 0.05, 1 / 10]),
+        sy=st.sampled_from([1 / 48, 0.04, 1 / 7]),
+        ratio=st.floats(min_value=0.5, max_value=12.0),
+        kind=st.sampled_from(["cusp", "bump", "constant", "ties", "spike", "dipole"]),
+        at=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n0=80, n1=73, sx=1 / 64, sy=1 / 48, ratio=12.0, kind="cusp", at=(0.5, 0.5), rng_seed=0)
+    @example(n0=21, n1=80, sx=0.05, sy=1 / 7, ratio=3.0, kind="spike", at=(1.0, 0.0), rng_seed=0)
+    # the dipole's low cell is dropped if the block maxima are dilated by
+    # floor(reach / block) blocks instead of the ceiling
+    @example(n0=40, n1=40, sx=1 / 64, sy=0.04, ratio=5.0, kind="dipole", at=(0.5, 0.0), rng_seed=0)
+    def test_2d_structured_equals_pairwise(self, n0, n1, sx, sy, ratio, kind, at, rng_seed):
+        # ragged blocks (n not a multiple of the block side), unequal
+        # steps, and values that drop most blocks or none
+        delta = ratio * max(sx, sy)
+        vals = _structured_values(kind, (n0, n1), sx, sy, delta, at, rng_seed)
+        assert _window_max_2d(vals, sx, sy, delta) == _brute_window_max_2d(vals, sx, sy, delta)
+
+    def test_hoelder_grid_equals_one_pass_over_it(self, monkeypatch):
+        # verify-bound's 321 x 321 hoelder grid at delta = 1/4: the blocks
+        # that can hold the maximum are a small part of the grid, and the
+        # maximum over them is the one pass's over the whole grid
+        xs, ys = verify._layout([0.25], ((-1, 1), (-1, 1)), 1 / 160)
+        vals = verify._grid(seed_kernel("hoelder"), xs, ys)
+        sx, sy = float(xs[1] - xs[0]), float(ys[1] - ys[0])
+        d2 = 0.25 * 0.25 * (1.0 + 1e-12)
+        assert vals.shape == (321, 321) and (40 * sx) ** 2 <= d2 < (41 * sx) ** 2
+        whole = verify._dilation_max(vals, 40, 40, sx, sy, d2)
+        boxes, dilation_max = [], verify._dilation_max
+
+        def spy(box, *args):
+            boxes.append(box.size)
+            return dilation_max(box, *args)
+
+        monkeypatch.setattr(verify, "_dilation_max", spy)
+        assert _window_max_2d(vals, sx, sy, 0.25) == whole == 1.0
+        assert 0 < sum(boxes) < vals.size // 4
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (1, 30), (30, 1)])
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.35, 1.0, 5.0])
     def test_2d_single_row_and_column(self, shape, delta):
@@ -346,6 +389,32 @@ class TestWindowMaxKernels:
         assert _window_max_2d(vals, step, step, delta) == _brute_window_max_2d(
             vals, step, step, delta
         )
+
+
+def _structured_values(kind, shape, sx, sy, delta, at, rng_seed):
+    # grid values whose window maxima sit in a few blocks (cusp, bump,
+    # spike, dipole), in none (constant) or anywhere (integer ties).  The
+    # dipole's pair lies on the disk's diagonal, where no pair along an
+    # axis sees it
+    x = np.arange(shape[0])[:, None] * sx
+    y = np.arange(shape[1])[None, :] * sy
+    x0, y0 = at[0] * x[-1, 0], at[1] * y[0, -1]
+    if kind == "cusp":
+        return np.sqrt(np.abs(x - x0)) + np.sqrt(np.abs(x + y - x0 - y0))
+    if kind == "bump":
+        return np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (1e-2 + x[-1, 0] * y[0, -1]))
+    if kind == "constant":
+        return np.full(shape, 2.5)
+    if kind == "ties":
+        return _sample_values(shape, rng_seed, True)
+    vals = np.zeros(shape)
+    if kind == "spike":
+        vals[int(at[0] * (shape[0] - 1)), int(at[1] * (shape[1] - 1))] = 7.0
+        return vals
+    di, dj = (min(n - 1, int(delta / step / math.sqrt(2.0))) for n, step in zip(shape, (sx, sy)))
+    i, j = int(at[0] * (shape[0] - 1 - di)), int(at[1] * (shape[1] - 1 - dj))
+    vals[i, j], vals[i + di, j + dj] = -1.0, 1.0
+    return vals
 
 
 class TestNonFiniteKernel:
