@@ -40,9 +40,9 @@ from .expressions import (
     EvaluationError,
     FuncSpec,
     ParseError,
+    _seed_cocycle,
     bivariate_expression,
-    cocycle_from_seed,
-    seed_expression,
+    parse_expr,
 )
 from .rational import format_rational, parse_rational
 from .smooth import QuadratureError, reconstruct_ck_table
@@ -72,7 +72,8 @@ def _function(cfg: argparse.Namespace) -> FuncSpec:
     if cfg.seed is not None:
         if cfg.vars is not None and cfg.vars.strip() != "t":
             raise ValueError("--vars applies to --expr; seeds are in t")
-        return cocycle_from_seed(seed_expression(BUILTIN_SEEDS.get(cfg.seed, cfg.seed)))
+        # g's tree alone: F compiles it, and g's own forms would go unused
+        return _seed_cocycle(parse_expr(BUILTIN_SEEDS.get(cfg.seed, cfg.seed), ("t",)), "t")
     names = tuple(s.strip() for s in (cfg.vars or "x,y").split(","))
     if len(names) != 2 or not all(names):
         raise ValueError("--vars must name two comma-separated variables")
@@ -209,7 +210,7 @@ def _cmd_verify_bound(cfg: argparse.Namespace) -> int:
 
 def _cmd_bench(cfg: argparse.Namespace) -> int:
     F = _function(cfg)
-    stress = Fraction(1, 1000003)
+    stress = Fraction(1, 1000003)  # a row of 10^6 kernel terms, in O(log m) calls
     t0 = time.perf_counter()
     value = h_rational(F, stress)
     chain_seconds = time.perf_counter() - t0

@@ -18,14 +18,19 @@ specialized, with h(0) = h(1) = 0):
   h(1/2)     = -H(1/2, 1/2) / 2
   h(r)       = -h(1-r) - H(r, 1-r)                 reflect (1/2, 1) into (0, 1/2)
 
-and on the core interval (0, 1/2) by one of two engines:
+and on the core interval (0, 1/2) by one identity, with m >= 2:
 
-  euclid-chain   h(p/n) = -(S + B + h(p'/n)) / m, where m = floor(n/p),
-                 p' = n mod p, S = sum_{i=1..m-1} H(p/n, i*p/n) and
-                 B = H(p'/n, 1 - p'/n); iterated along the quotient chain
-                 of p/n until the remainder vanishes.
-  dyadic         h(x) = (h(2x) - H(x, x)) / 2, descending from the
-                 integer/half lattice (power-of-two denominators only).
+  h(x)       = (h(mx) - T(m)) / m,  T(m) = sum_{i=1..m-1} H(x, i*x)
+
+where T follows the binary digits of m, T(2j) = 2 T(j) + H(jx, jx) and
+T(j + 1) = T(j) + H(jx, x), in about 2 log2(m) kernel terms.  The two
+engines differ only in the choice of m:
+
+  euclid-chain   m = floor(n/p) for x = p/n, so mx = 1 - p'/n with
+                 p' = n mod p, reflected to p'/n: the quotient chain of
+                 p/n, until the remainder vanishes (mx = 1).
+  dyadic         m = 2, T(2) = H(x, x), descending to 1/2 (power-of-two
+                 denominators only).
 
 One evaluator serves single keys and tables alike, key by key: for
 |r| = k + s, h(k) along the binary digits of k, h(s) down its line of
@@ -51,7 +56,6 @@ the lattice recursion that computes f(t_j).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import weakref
@@ -59,9 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-import numpy as np
-
-from .expressions import EvaluationError, FuncSpec, _i_sub, _sample
+from .expressions import EvaluationError, FuncSpec, _i_sub
 from .rational import euclid_chain  # noqa: F401  benchmark/tracing.py wraps it here
 
 __all__ = [
@@ -79,11 +81,6 @@ __all__ = [
 
 ENGINES = ("euclid-chain", "dyadic")
 
-# Row sums of this many terms or more take array calls, for speed only, of
-# at most _ROW_BLOCK terms each, so a row's memory is bounded.
-_VECTOR_MIN = 128
-_ROW_BLOCK = 1 << 16
-
 # Errors of a kernel term's call: F's compiled scalar form raises Python's,
 # and another callable may raise EvaluationError.  The term is then taken
 # again through LatticeSolver._kernel, which raises at its lattice point.
@@ -95,10 +92,6 @@ MAX_GRID_KEYS = 10**6
 # The finest dyadic grid: above it no key k/2^L with k odd is a float, so
 # F would be called at rounded points.
 MAX_DYADIC_LEVEL = 1074
-
-# One call of LatticeSolver.h or reconstruct_table refuses euclid-chain
-# row sums of more kernel terms than this, counted over all of its rows.
-MAX_ROW_TERMS = 1 << 25
 
 # Per kernel (equal FuncSpecs share one, and it dies with the kernel):
 # [F(0, 0) enclosed, S], S[n] a bound of sup |h(u)| over |u| <= 2**-n.  S
@@ -134,9 +127,9 @@ class LatticeSolver:
     are atomic under the interpreter lock, so a solver may be shared
     across threads that only query values; the bounds of
     reconstruct_point are per kernel (``_BOUNDS``), not per solver, and
-    safe to share in the same way.  The euclid-chain rows of one call of
-    ``h`` or ``reconstruct_table`` hold at most MAX_ROW_TERMS kernel terms
-    in all (``_row_sum``).
+    safe to share in the same way.  A step h(x) = (h(mx) - T(m)) / m
+    takes its row T(m) in O(log m) kernel terms (``_row_sum``), so a key
+    p/n costs O(log n) terms per step of its quotient chain.
     """
 
     def __init__(self, F):
@@ -172,37 +165,25 @@ class LatticeSolver:
             )
         return val
 
-    def _row_sum(self, a: int, b: int, m: int, call, row_terms: list[int]) -> float:
-        # sum_{i=1..m-1} H(a/b, i*a/b), exactly (Shewchuk) by math.fsum.  m
-        # can reach b, so a long row takes array calls of _ROW_BLOCK terms
-        # (its ys exact while b <= 2**53), streamed into the sum, and any
-        # other row a generator of F's scalar form; where that raises or
-        # the sum is not finite, _kernel takes the row again and names its
-        # lattice point.  row_terms[0] counts the row terms of the current
-        # public call; a row that would pass MAX_ROW_TERMS is refused first.
-        terms = row_terms[0] + m - 1
-        if terms > MAX_ROW_TERMS:
-            raise ValueError(
-                f"euclid-chain row sums reach {terms} kernel terms at key {a}/{b}; "
-                f"the limit per call is {MAX_ROW_TERMS}"
-            )
-        row_terms[0] = terms
-        f00, x = self.F00, a / b
-        if m - 1 >= _VECTOR_MIN and b <= 1 << 53:
-            ys = (
-                np.arange(i, min(i + _ROW_BLOCK, m), dtype=np.float64) * float(a) / float(b)
-                for i in range(1, m, _ROW_BLOCK)
-            )
-            row = itertools.chain.from_iterable((_sample(self.F, x, y) - f00).tolist() for y in ys)
-        else:
-            row = (call(x, i * a / b) - f00 for i in range(1, m))
-        try:
-            row = math.fsum(row)
-            if math.isfinite(row):
-                return row
-        except _CALL_ERRORS:
-            pass
-        return math.fsum(self._kernel(a, b, i * a, b) for i in range(1, m))
+    def _row_sum(self, a: int, b: int, m: int, t: float, call) -> float:
+        # T(m) = sum_{i=1..m-1} H(x, i*x) for x = a/b and m > 2, from
+        # t = T(2) = H(x, x), along the binary digits of m by the cocycle
+        # relation T(j + c) = T(j) + T(c) + H(jx, cx): c = j doubles j
+        # while j is m's leading digits (m >> s), and c = 1 adds the next
+        # digit where it is 1; terms as in _values
+        f00, isfinite, j, s = self.F00, math.isfinite, 2, m.bit_length() - 2
+        while j < m:
+            c = j if j == m >> s else 1
+            try:
+                u = call(j * a / b, c * a / b) - f00
+            except _CALL_ERRORS:
+                u = math.nan
+            if not isfinite(u):
+                u = self._kernel(j * a, b, c * a, b)
+            t = (2.0 * t if c > 1 else t) + u
+            s -= c > 1
+            j += c
+        return t
 
     # -- h at rationals --
 
@@ -214,17 +195,17 @@ class LatticeSolver:
 
     def _values(self, pairs: list[tuple[int, int]], engine: str) -> list[float]:
         # h at each key (num, den), in order.  For |r| = k + s: h(k); h(s),
-        # down its line of parents (1 - x on (1/2, 1), 2x or the quotient
-        # chain's next node on (0, 1/2)) to a cached value, 1/2 or 0, then
-        # back up; H(k, s); and H(|r|, -|r|) for r < 0: the order in which
-        # a recursion on the identities calls F.  A term calls F's scalar
-        # form (the rule of _scalar), inline, as a call per term or node
-        # costs a dense table several percent; where it raises or H is not
-        # finite, _kernel takes the term again and raises at its lattice
-        # point.  h is cached at every nonnegative key and node.
+        # down its line of parents (1 - x on (1/2, 1), mx on (0, 1/2)) to a
+        # cached value, 1/2 or 1, then back up; H(k, s); and H(|r|, -|r|)
+        # for r < 0: the order in which a recursion on the identities calls
+        # F.  A term calls F's scalar form (the rule of _scalar), inline, as
+        # a call per term or node costs a dense table several percent; where
+        # it raises or H is not finite, _kernel takes the term again and
+        # raises at its lattice point.  h is cached at every nonnegative key
+        # and node.
         F, f00, kernel, isfinite, nan = self.F, self.F00, self._kernel, math.isfinite, math.nan
         call = F._compiled[0] if type(F) is FuncSpec else lambda x, y: float(F(x, y))
-        cache, dyadic, row_terms, out = self._h[engine], engine == "dyadic", [0], []
+        cache, dyadic, out = self._h[engine], engine == "dyadic", []
         for num, den in pairs:
             n = -num if num < 0 else num
             hv = cache.get((n, den))
@@ -242,37 +223,32 @@ class LatticeSolver:
                         p, q = node
                         if 2 * p == q:
                             break
-                        node = (q - p, q) if 2 * p > q else (p, q >> 1) if dyadic else _chain_next(p, q)
-                        hs = cache.get(node) if node[0] else 0.0
+                        node = (q - p, q) if 2 * p > q else (p, q >> 1) if dyadic else _multiple(p, q)
+                        hs = cache.get(node) if node[1] > 1 else 0.0  # h(1) = 0
                     for node in reversed(path):
                         p, q = node
-                        if dyadic and 2 * p < q or 2 * p == q:
-                            # h(x) = (h(2x) - H(x, x)) / 2, h(1/2) = -H(1/2, 1/2) / 2
-                            x = p / q
+                        x = p / q
+                        if 2 * p > q:  # h(x) = -h(1-x) - H(x, 1-x)
                             try:
-                                t = call(x, x) - f00
+                                t = call(x, (q - p) / q) - f00
                             except _CALL_ERRORS:
                                 t = nan  # _kernel raises the call's error
                             if not isfinite(t):
-                                t = kernel(p, q, p, q)
-                            hs = (hs - t) / 2.0 if 2 * p < q else -t / 2.0
+                                t = kernel(p, q, q - p, q)
+                            hs = -hs - t
                         else:
-                            # h(x) = -h(1-x) - H(x, 1-x) on (1/2, 1), and
-                            # h(p/q) = -(S + H(c/d, 1 - c/d) + h(c/d)) / m
-                            c, d, m = p, q, 0
-                            if 2 * p < q:
-                                m = q // p
-                                row = self._row_sum(p, q, m, call, row_terms)
-                                c, d = _chain_next(p, q)
-                            t = 0.0  # H(0, 1)
-                            if c:
-                                try:
-                                    t = call(c / d, (d - c) / d) - f00
-                                except _CALL_ERRORS:
-                                    t = nan
-                                if not isfinite(t):
-                                    t = kernel(c, d, d - c, d)
-                            hs = -(row + t + hs) / m if m else -hs - t
+                            # h(x) = (h(mx) - T(m)) / m, m = 2 on the dyadic
+                            # engine; h(1/2) = -T(2) / 2, T(2) = H(x, x)
+                            try:
+                                t = call(x, x) - f00
+                            except _CALL_ERRORS:
+                                t = nan
+                            if not isfinite(t):
+                                t = kernel(p, q, p, q)
+                            m = 2 if dyadic else q // p
+                            if m > 2:
+                                t = self._row_sum(p, q, m, t, call)
+                            hs = (hs - t) / m if 2 * p < q else -t / 2.0
                         cache[node] = hs
                 if k and s:  # h(k + s) = h(k) + h(s) + H(k, s)
                     try:
@@ -356,11 +332,12 @@ class LatticeSolver:
         return _up(self._H_abs((x, x), (y, y)) + s)
 
 
-def _chain_next(p: int, n: int) -> tuple[int, int]:
-    """The next node of the quotient chain of p/n, (n mod p)/n, reduced."""
+def _multiple(p: int, n: int) -> tuple[int, int]:
+    """m * p/n for m = floor(n/p), that is 1 - (n mod p)/n, reduced: the
+    quotient chain of p/n goes on from its reflection (n mod p)/n."""
     rest = n % p
-    g = math.gcd(rest, n)  # rest = 0 gives the pair (0, 1)
-    return rest // g, n // g
+    g = math.gcd(rest, n)  # rest = 0 gives the pair (1, 1)
+    return (n - rest) // g, n // g
 
 
 def _up(v: float) -> float:
@@ -557,17 +534,20 @@ class ReconstructedFunction:
 
     def to_csv_text(self) -> str:
         # t is the exact decimal when there is one, else the float num/den
-        # with the key as p/n (format_rational's form) in t_exact
+        # with the key as p/n (format_rational's form) in t_exact; the
+        # rows take one format call, as in to_json_text
         decimals = self._decimals()
         with_exact = None in decimals
-        lines = ["t,f,t_exact" if with_exact else "t,f"]
-        tail = "," if with_exact else ""
+        row = "%s,%.17g," if with_exact else "%s,%.17g"
+        forms, args = ["t,f,t_exact" if with_exact else "t,f"], []
         for (num, den), dec, v in zip(self.keys.pairs, decimals, self.values):
             if dec is None:
-                lines.append(f"{num / den:.17g},{v:.17g},{num}/{den}")
+                forms.append("%.17g,%.17g,%d/%d")
+                args += (num / den, v, num, den)
             else:
-                lines.append(f"{_decimal_text(num, *dec)},{v:.17g}{tail}")
-        return "\n".join(lines) + "\n"
+                forms.append(row)
+                args += (_decimal_text(num, *dec), v)
+        return "\n".join(forms) % tuple(args) + "\n"
 
     def to_json_obj(self) -> dict:
         rows = []

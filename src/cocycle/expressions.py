@@ -585,8 +585,15 @@ def cocycle_from_seed(g: FuncSpec) -> FuncSpec:
     grouping keeps F(x, y) == F(y, x) bit for bit."""
     if g.arity != 1:
         raise ValueError("seed must be univariate")
+    return _seed_cocycle(g.ast, g.variables[0])
+
+
+def _seed_cocycle(seed: Expr, variable: str) -> FuncSpec:
+    """cocycle_from_seed from the seed's tree in ``variable``, with no
+    FuncSpec of the seed compiled.  F's tree holds the seed's, so F's
+    compile refuses every tree too deep for the seed's."""
     x, y = Var("x"), Var("y")
-    gs, gx, gy = (_substitute(g.ast, g.variables[0], v) for v in (Bin("+", x, y), x, y))
+    gs, gx, gy = (_substitute(seed, variable, v) for v in (Bin("+", x, y), x, y))
     return FuncSpec(Bin("-", gs, Bin("+", gx, gy)), ("x", "y"))
 
 

@@ -10,6 +10,8 @@ test.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +39,64 @@ def oracle_solution(name: str):
     g = SEED_FUNCS[name]
     slope = g(1.0) - g(0.0)
     return lambda t: g(float(t)) - slope * float(t)
+
+
+# exact references: the closed forms in rational arithmetic for the
+# polynomial kernels, and at EXACT_DIGITS significant digits otherwise;
+# "3*x*y*(x+y)" is the cube's kernel written as an expression
+EXACT_DIGITS = 50
+POLYNOMIAL_SOLUTIONS = {
+    "square": lambda t: t * t - t,
+    "cube": lambda t: t**3 - t,
+    "3*x*y*(x+y)": lambda t: t**3 - t,
+}
+
+
+def _decimal_sin(x: Decimal) -> Decimal:
+    # the Taylor series, summed until a term no longer changes the sum;
+    # for the |x| <= 4 used here the terms fall below 10^-50 after 40
+    term = total = x
+    k = 1
+    while True:
+        term *= -x * x / ((2 * k) * (2 * k + 1))
+        if total + term == total:
+            return total
+        total += term
+        k += 1
+
+
+_DECIMAL_SEEDS = {
+    "expo": lambda t: t.exp(),
+    "sine": _decimal_sin,
+    "hoelder": lambda t: abs(t).sqrt(),
+}
+
+
+def exact_solution(name: str):
+    """The closed-form f(r) at an exact rational r: a Fraction for the
+    polynomial kernels, else a Decimal of EXACT_DIGITS digits."""
+    if name in POLYNOMIAL_SOLUTIONS:
+        return lambda r: POLYNOMIAL_SOLUTIONS[name](Fraction(r))
+    g = _DECIMAL_SEEDS[name]
+
+    def f(r) -> Decimal:
+        r = Fraction(r)
+        with localcontext() as ctx:
+            ctx.prec = EXACT_DIGITS
+            t = Decimal(r.numerator) / Decimal(r.denominator)
+            return g(t) - (g(Decimal(1)) - g(Decimal(0))) * t
+
+    return f
+
+
+def relative_error(value: float, exact, floor: float = 1.0) -> float:
+    """|value - exact| / max(floor, |exact|), for a Fraction or Decimal
+    exact."""
+    if isinstance(exact, Decimal):
+        with localcontext() as ctx:
+            ctx.prec = EXACT_DIGITS
+            return float(abs(Decimal(value) - exact) / max(Decimal(floor), abs(exact)))
+    return float(abs(Fraction(value) - exact) / max(Fraction(floor), abs(exact)))
 
 
 def affine_difference(f1, f2, grid) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cocycle import cli, continuous
+from cocycle import cli
 from cocycle.cli import _SETTINGS, _load_config, _resolve, build_parser, run
 from cocycle.continuous import ENGINES
 from cocycle.expressions import BUILTIN_SEEDS
@@ -141,21 +141,6 @@ class TestExitCodes:
         assert err.startswith("error: grid on [") and err.count("\n") == 1
         assert err.endswith("] has 1000001 denominators q to scan for keys p/q; the limit is 1000000\n")
         assert time.perf_counter() - start < 0.1
-
-    def test_row_work_over_the_limit_is_two(self, monkeypatch, capsys):
-        # 100,001 keys 1/n, n up to 600,000, whose rows hold about n terms
-        # each; with a limit of 10**6 the second row is refused
-        monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 10**6)
-        code, out, err = run_out(
-            ["reconstruct", "--seed", "square", "--interval", "0", "2e-6",
-             "--denominators", "600000"],
-            capsys,
-        )
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: euclid-chain row sums reach 1199997 kernel terms at key 1/599999; "
-            "the limit per call is 1000000\n"
-        )
 
     @pytest.mark.parametrize(
         "expr,message",
@@ -624,7 +609,8 @@ class TestGoldens:
     lattice moved to integer keys, the next three before seed kernels
     became plain trees and the solver stopped caching H, and the last two
     before the window maxima skipped blocks and the residual scans called
-    F's compiled form inline."""
+    F's compiled form inline.  The five euclid-chain files were written
+    again when the rows became ladders of O(log m) kernel terms."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -635,7 +621,7 @@ class TestGoldens:
              ["reconstruct", "--seed", "sine", "--engine", "dyadic", "--dyadic-level", "5",
               "--interval", "-1.5", "2.25", "--format", "json"]),
             ("verify_bound_cube_8.ndjson", ["verify-bound", "--seed", "cube", "--delta", "1/8"]),
-            # keys 1/n with n >= 129 take the row sum's array path
+            # keys p/n with chain steps of up to 299 row terms, each in a ladder of at most 16
             ("reconstruct_expo_den300_near0.csv",
              ["reconstruct", "--seed", "expo", "--interval", "0", "0.02", "--denominators", "300"]),
             # the kernel's tree repeats x + y
@@ -684,6 +670,19 @@ class TestSeedVariable:
         assert code == 0
         assert out == run_out(self.ARGS + ["--seed", "square"], capsys)[1]
         assert run(self.ARGS + ["--seed", "t^2 - t", "--vars", "t"]) == 0
+
+    @pytest.mark.parametrize("seed", ["square", "t*exp(t)-t^3"])
+    def test_seed_compiles_only_its_kernel(self, seed, monkeypatch):
+        # F holds g's tree, so g's own callables are never built
+        from cocycle import expressions
+
+        compiled, compile_ = [], expressions._compile
+        monkeypatch.setattr(expressions, "_compile", lambda *a: compiled.append(a) or compile_(*a))
+        cfg = _resolve(build_parser().parse_args(["check", "--seed", seed]))
+        F = cli._function(cfg)
+        assert [variables for _, variables in compiled] == [("x", "y")]
+        g = expressions.seed_expression(BUILTIN_SEEDS.get(seed, seed))
+        assert F == expressions.cocycle_from_seed(g)
 
     def test_seed_vars_from_config_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

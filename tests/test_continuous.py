@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SEEDS, oracle_solution, seed_kernel
+from conftest import ALL_SEEDS, exact_solution, oracle_solution, relative_error, seed_kernel
 from cocycle import continuous
 from cocycle import (
     ConvergenceError,
@@ -28,7 +28,6 @@ from cocycle import (
     LatticeSolver,
     bivariate_expression,
     cocycle_from_seed,
-    euclid_chain,
     grid_gap,
     grid_keys,
     h_rational,
@@ -51,8 +50,8 @@ small_rationals = st.fractions(
 class ReferenceSolver:
     """The Fraction-keyed lattice recursion that the integer-keyed
     LatticeSolver replaced, kept as the reference for its values: the same
-    float operations, with exact keys as Fractions, and scalar F calls
-    only, where the solver takes a long row in one array call."""
+    float operations on the same identities, with exact keys as Fractions,
+    recursing where the solver loops, and each kernel term taken once."""
 
     def __init__(self, F):
         self.F = F
@@ -74,7 +73,13 @@ class ReferenceSolver:
         return self._H[(x, y)]
 
     def _row_sum(self, x: Fraction, m: int) -> float:
-        return math.fsum(self.H(x, i * x) for i in range(1, m))
+        # T(m) = sum_{i=1..m-1} H(x, i*x) for m >= 2: T(2) = H(x, x),
+        # T(2j) = 2 T(j) + H(jx, jx) and T(j + 1) = T(j) + H(jx, x)
+        if m == 2:
+            return self.H(x, x)
+        if m % 2:
+            return self._row_sum(x, m - 1) + self.H((m - 1) * x, x)
+        return 2.0 * self._row_sum(x, m // 2) + self.H(m // 2 * x, m // 2 * x)
 
     def h(self, r: Fraction, engine: str = "euclid-chain") -> float:
         key = (engine, r)
@@ -100,19 +105,20 @@ class ReferenceSolver:
             return -self.H(half, half) / 2.0
         if r > half:
             return -self.h(1 - r, engine) - self.H(r, 1 - r)
-        if engine == "dyadic":
-            return (self.h(2 * r, engine) - self.H(r, r)) / 2.0
-        chain = euclid_chain(r)
-        nodes = [r] + [Fraction(p, chain.n) for _, p in chain.steps]
-        h_next = 0.0
-        for j in range(len(chain.steps) - 1, -1, -1):
-            key = ("euclid-chain", nodes[j])
-            if key not in self._h:
-                m = chain.steps[j][0]
-                bridge = self.H(nodes[j + 1], 1 - nodes[j + 1])
-                self._h[key] = -(self._row_sum(nodes[j], m) + bridge + h_next) / m
-            h_next = self._h[key]
-        return h_next
+        # h(r) = (h(mr) - T(m)) / m; on the chain engine mr lies in
+        # (1/2, 1], so h(mr) reflects to the chain's next remainder
+        m = 2 if engine == "dyadic" else math.floor(1 / r)
+        return (self.h(m * r, engine) - self._row_sum(r, m)) / m
+
+
+class RowsReference(ReferenceSolver):
+    """ReferenceSolver with each row T(m) summed term by term, exactly
+    rounded (math.fsum), as the chain engine did before the ladder; for
+    finite kernels, whose terms need no error path."""
+
+    def _row_sum(self, x: Fraction, m: int) -> float:
+        a, b = x.numerator, x.denominator
+        return math.fsum(float(self.F(a / b, i * a / b)) - self.F00 for i in range(1, m))
 
 
 class CountingSpec(FuncSpec):
@@ -183,8 +189,8 @@ def rationals_up_to(max_den: int):
     )
 
 
-# denominators up to 10^6, so that chain rows of 128 terms and more take
-# the array path
+# denominators up to 10^6, so that chain steps take rows of up to 10^6
+# terms, each in a ladder of at most 40
 wide_rationals = rationals_up_to(10**6)
 dyadic_rationals = st.integers(0, 20).flatmap(
     lambda L: st.integers(-5 << L, 5 << L).map(lambda k: Fraction(k, 1 << L))
@@ -212,26 +218,12 @@ class TestAgainstReference:
         F = KERNELS[name]
         assert LatticeSolver(F).h(r, "dyadic") == ReferenceSolver(F).h(r, "dyadic")
 
-    @pytest.mark.parametrize("n,arrays", [(128, 0), (129, 1), (130, 1)])
-    def test_vector_threshold_equals_reference(self, n, arrays):
-        # 1/n has a row of n - 1 terms: scalar calls below 128, one array
-        # call from 128 on, whose values equal the reference's scalar calls
-        calls = []
-
-        def F(x, y):
-            calls.append(isinstance(y, np.ndarray))
-            return F_EXPO(x, y)
-
-        got = LatticeSolver(F).h(Fraction(1, n))
-        assert sum(calls) == arrays
-        assert got == ReferenceSolver(F_EXPO).h(Fraction(1, n))
-
     @pytest.mark.parametrize("a,b", [(309517039889459, 58957243863480000),
                                      (51393207630335, 10739385266208768)])
     def test_row_over_2_53_equals_reference(self, a, b):
         # chains of six rows whose first, of 189 and 207 terms, has a
-        # denominator over 2**53, where the products i*a are not all floats:
-        # float ys would miss the lattice points i*a/b of the scalar calls
+        # denominator over 2**53, where the products j*a are not all floats:
+        # the points j*a/b are rounded from the exact products
         r = Fraction(a, b)
         assert LatticeSolver(F_EXPO).h(r) == ReferenceSolver(F_EXPO).h(r)
 
@@ -248,8 +240,8 @@ class TestAgainstReference:
     @given(st.integers(1, 2000), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
     def test_pole_row_falls_back_like_reference(self, k, shift):
-        # 1/(y - 1/3) has a pole on every row through y = 1/3, so those
-        # rows fall back to scalar calls, which report the lattice point
+        # 1/(y - 1/3) has a pole on every row whose ladder reaches y = 1/3;
+        # the term falls back to F's call, which reports the lattice point
         F = bivariate_expression("2*x*y + 1/(y - 1/3)")
         r = Fraction(k, 3 * 200) + shift
         assert _outcome(LatticeSolver(F), r) == _outcome(ReferenceSolver(F), r)
@@ -257,7 +249,8 @@ class TestAgainstReference:
     @given(rationals_up_to(10**4))
     @settings(max_examples=30, deadline=None)
     def test_scalar_rows_equal_reference(self, r):
-        # a kernel that refuses arrays sends every long row to scalar calls
+        # the lattice makes no array call: a kernel that refuses arrays
+        # gives the reference's values
         def F(x, y):
             if isinstance(y, np.ndarray):
                 raise EvaluationError("no arrays")
@@ -354,7 +347,9 @@ class TestLatticeValues:
         assert time.perf_counter() - start < 0.1
         assert str(exc.value) == "dyadic engine needs a power-of-two denominator, got -1399/700"
 
-    def test_pole_on_one_row_keeps_later_rows_vectorized(self):
+    def test_pole_on_one_row_spares_later_keys(self):
+        # the failing term names its point, and the solver goes on to the
+        # next key with no array call
         kernel = bivariate_expression("2*x*y + 1/(x - 1/200)")
         array_calls = []
 
@@ -364,11 +359,10 @@ class TestLatticeValues:
 
         solver = LatticeSolver(F)
         with pytest.raises(EvaluationError) as exc:
-            solver.h(Fraction(1, 200))  # its row of 199 falls back to scalars
+            solver.h(Fraction(1, 200))  # the first term of its row, H(1/200, 1/200)
         assert exc.value.point == (0.005, 0.005)
-        array_calls.clear()
-        solver.h(Fraction(1, 300))
-        assert array_calls == [True]  # the row of 299 is one array call
+        assert solver.h(Fraction(1, 300)) == ReferenceSolver(kernel).h(Fraction(1, 300))
+        assert not any(array_calls)
 
     def test_row_of_scalar_results(self):
         # a constant returned for an array used to crash the row sum
@@ -376,8 +370,8 @@ class TestLatticeValues:
 
     @pytest.mark.parametrize("r", [Fraction(1, 200), Fraction(7, 1000), Fraction(3, 997)])
     def test_scalar_only_callable_matches_array_rows(self, r):
-        # rows of 128 terms and more take one array call when F takes
-        # arrays and one scalar call per term when it does not
+        # a plain callable takes the FuncSpec's kernel terms, one scalar
+        # call each
         scalar_only = lambda x, y: float(2 * x * y)
         assert h_rational(scalar_only, r) == h_rational(F_BILINEAR, r)
 
@@ -791,61 +785,72 @@ class TestDescent:
         assert len(set(calls)) == len(calls) == 1 + 63 + 64
 
 
+# kernels with exact references (conftest.exact_solution)
+EXACT_KERNELS = {name: seed_kernel(name) for name in ALL_SEEDS}
+EXACT_KERNELS["3*x*y*(x+y)"] = bivariate_expression("3*x*y*(x+y)")
+# The kernel terms on (0, 1) are differences of g at points of [0, 1], so
+# F's own rounding is relative to max |g| there: e for expo and at most 1
+# for the others.  The reflection term H(x, 1 - x) of a key near 1 alone
+# puts expo's error at up to 7e-16, with linear rows and the ladder alike.
+ERROR_SCALE = {"expo": math.e}
+EXACT_BOUND = 5e-16
+
+
+def exact_error(name: str, value: float, r: Fraction) -> float:
+    """|value - f(r)| / max(|f(r)|, max |g| on [0, 1], 1)."""
+    return relative_error(value, exact_solution(name)(r), ERROR_SCALE.get(name, 1.0))
+
+
 class TestRowWork:
-    @pytest.mark.parametrize("r", [Fraction(1, 2**700), Fraction(1, 10**9)])
-    def test_huge_row_is_refused_before_it_is_built(self, r):
+    """A row T(m) takes O(log m) kernel terms, so a key p/n costs O(log n)
+    terms per step of its quotient chain."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
+    @pytest.mark.parametrize(
+        "r",
+        [Fraction(1, 2**700), Fraction(1, 10**9), Fraction(123456789, 10**17 + 3)],
+        ids=["1/2^700", "1/10^9", "123456789/(10^17+3)"],
+    )
+    def test_huge_rows_are_answered_at_once(self, r, name):
+        # rows of up to 2**700 - 1 terms, which no sum term by term finishes
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"at key {r}; the limit per call is 33554432"):
-            LatticeSolver(seed_kernel("square")).h(r)
-        assert time.perf_counter() - start < 10.0
+        got = LatticeSolver(EXACT_KERNELS[name]).f_value(r)
+        assert time.perf_counter() - start < 1.0
+        assert exact_error(name, got, r) <= EXACT_BOUND
 
-    def test_rows_count_per_call(self, monkeypatch):
-        monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 100)
-        solver = LatticeSolver(F_BILINEAR)
-        # one table: rows of 59 and 49 terms
-        with pytest.raises(ValueError, match="reach 108 kernel terms at key 1/50; the limit per call is 100"):
-            reconstruct_table(F_BILINEAR, [Fraction(1, 60), Fraction(1, 50)], solver=solver)
-        # rows of 59, 49 and 39 terms in three calls of h, then of 69 and
-        # 79 terms in two tables: the count starts again at each call
-        solver = LatticeSolver(F_BILINEAR)
-        for r in (Fraction(1, 60), Fraction(1, 50), Fraction(1, 40)):
-            assert solver.h(r) == ReferenceSolver(F_BILINEAR).h(r)
-        for r in (Fraction(1, 70), Fraction(1, 80)):
-            table = reconstruct_table(F_BILINEAR, [r], solver=solver)
-            assert table.values == [ReferenceSolver(F_BILINEAR).h(r) - solver.F00]
-
-    def test_long_row_is_the_scalar_sum(self):
-        # h(1/n) = -(S + H(0, 1) + h(0)) / n, S = sum_{i=1..n-1} H(1/n, i/n):
-        # the row's 16 blocks of array calls give the scalar calls' sum
-        F, n = seed_kernel("sine"), 2**20
-        call, f00 = F._compiled[0], F(0.0, 0.0)
-        row = math.fsum(call(1 / n, i / n) - f00 for i in range(1, n))
-        assert LatticeSolver(F).h(Fraction(1, n)) == -(row + 0.0 + 0.0) / n
+    def test_long_row_takes_a_term_per_binary_digit(self):
+        # h(1/n) = (h(1) - T(n)) / n for n = 2**20: F(0, 0), T(2) = H(x, x)
+        # and 19 doublings T(2j) = 2 T(j) + H(jx, jx), where a sum term by
+        # term took 2**20 - 1
+        F = CountingSpec(seed_kernel("sine"))
+        got = LatticeSolver(F).h(Fraction(1, 2**20))
+        assert len(F.calls) == 21
+        assert got == ReferenceSolver(seed_kernel("sine")).h(Fraction(1, 2**20))
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_overflowing_term_names_its_point_in_any_row(self, n):
-        # F is finite, and F - F(0, 0) overflows at y = 1/2 alone: a row of
-        # 99 scalar terms and one of 199 array terms both name the point
+        # F is finite, and F - F(0, 0) overflows at y = 1/2 alone, which the
+        # rows of 1/100 and 1/200 reach at H(1/2, 1/2), their last doubling
         bump = "1e308*exp(-1000000*(y-0.5)^2)"
         F = bivariate_expression(f"{bump} - 1.7e308 + {bump}")
-        with pytest.raises(EvaluationError) as exc, np.errstate(over="ignore"):
+        with pytest.raises(EvaluationError) as exc:
             LatticeSolver(F).h(Fraction(1, n))
-        assert str(exc.value) == f"F non-finite at lattice point (1/{n}, 1/2)"
+        assert str(exc.value) == "F non-finite at lattice point (1/2, 1/2)"
 
     PEAK_SCRIPT = """
 import resource
 from fractions import Fraction
 from cocycle import LatticeSolver, builtin_seed, cocycle_from_seed
 solver = LatticeSolver(cocycle_from_seed(builtin_seed("sine")))
-solver.h(Fraction(1, 2**10))  # pages in numpy's array code
+solver.h(Fraction(1, 2**10))  # a first key, so the peak below is the row's
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 solver.h(Fraction(1, 2**22))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
     def test_long_row_memory_is_bounded(self):
-        # a row of 2**22 - 1 terms in blocks of 2**16: about 4 MiB more
-        # peak memory; one array for the row and its list would take 261 MiB
+        # a row of 2**22 - 1 terms takes 22 ladder terms and no list; one
+        # array for the row and its list would take 261 MiB
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -858,21 +863,50 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 16 * 1024  # ru_maxrss counts KiB on Linux
 
-    def test_row_past_2_to_53_is_streamed(self):
-        # past b = 2**53 the ys i*a/b are not exact in an array, so the row
-        # takes scalar calls, one at a time: a list of its 2**16 terms
-        # alone would take 2 MiB
-        F = seed_kernel("sine")
-        solver, (a, b, m) = LatticeSolver(F), (3, 2**60 + 1, 2**16)
-        want = math.fsum(solver._kernel(a, b, i * a, b) for i in range(1, m))
-        tracemalloc.start()
-        try:
-            got = solver._row_sum(a, b, m, F._compiled[0], [0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak < 1 << 18
+
+def _random_keys(count: int, seed: int) -> list[Fraction]:
+    """Seeded p/n with 2 <= n <= 10^6 and 0 < p < n."""
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(count):
+        n = rng.randint(2, 10**6)
+        keys.append(Fraction(rng.randint(1, n - 1), n))
+    return keys
+
+
+class TestExactReferences:
+    """The chain engine against exact values of f (conftest): within
+    EXACT_BOUND on Farey keys near 0 and on random keys with denominators
+    up to 10^6, and within 2x of the rows summed term by term."""
+
+    FAREY = [k for k in grid_keys((0, Fraction(1, 50)), denominators=300) if k]
+    RANDOM = _random_keys(300, 2027)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
+    def test_farey_keys_near_zero(self, name):
+        # 541 keys with rows of up to 299 terms
+        F = EXACT_KERNELS[name]
+        solver, rows = LatticeSolver(F), RowsReference(F)
+        worst = max(exact_error(name, solver.f_value(k), k) for k in self.FAREY)
+        rows_worst = max(exact_error(name, rows.h(k) - rows.F00, k) for k in self.FAREY)
+        assert worst <= EXACT_BOUND
+        assert worst <= 2 * rows_worst
+
+    @pytest.mark.parametrize("name", sorted(EXACT_KERNELS))
+    def test_random_keys(self, name):
+        # chains of up to about 30 steps, with rows of up to 10^6 terms
+        solver = LatticeSolver(EXACT_KERNELS[name])
+        assert max(exact_error(name, solver.f_value(k), k) for k in self.RANDOM) <= EXACT_BOUND
+
+    @given(
+        st.sampled_from(["square", "cube", "3*x*y*(x+y)"]),
+        st.integers(2, 10**6).flatmap(lambda n: st.integers(1, n - 1).map(lambda p: Fraction(p, n))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_polynomial_kernels_within_the_bound(self, name, r):
+        # F(0, 0) = 0, so h = f, compared with the exact Fraction
+        got = LatticeSolver(EXACT_KERNELS[name]).h(r)
+        assert exact_error(name, got, r) <= EXACT_BOUND
 
 
 def _table(F, keys, engine):
@@ -918,8 +952,11 @@ TABLE_ERRORS = [
      "F not evaluable at lattice point (1/2, 1/2): float division by zero", (0.5, 0.5)),
     ("1/(x-1/2)", grid_keys((0, 1), dyadic_level=3), "dyadic",
      "F not evaluable at lattice point (1/2, 1/2): float division by zero", (0.5, 0.5)),
+    # no ladder before the key -8/3 asks for y = 1/3, not even the row of
+    # 1/9, whose sum term by term did; the row of 1/3, on -8/3's line of
+    # parents, names the pole
     ("1/(y-1/3) + x*y", grid_keys((-3, 3), denominators=9), "euclid-chain",
-     "F not evaluable at lattice point (1/9, 1/3): float division by zero", (1 / 9, 1 / 3)),
+     "F not evaluable at lattice point (1/3, 1/3): float division by zero", (1 / 3, 1 / 3)),
     ("1e308*x*y", grid_keys((-2, 2), denominators=3), "euclid-chain",
      "F not evaluable at lattice point (2, -2): non-finite result", (2.0, -2.0)),
     ("1e308*x*y", grid_keys((-2, 2), dyadic_level=3), "dyadic",
@@ -979,7 +1016,7 @@ class TestTablePass:
         assert got == [LatticeSolver(F).h(k, engine).hex() for k in keys]
 
     def test_long_rows_equal_walk(self):
-        # rows of 128 terms and more take array calls
+        # rows of 99 to 999 terms, each in a ladder of at most 18 terms
         keys = [Fraction(1, n) for n in (100, 129, 300, 1000)] + [Fraction(-7, 300), Fraction(5, 2)]
         assert _table(F_EXPO, keys, "euclid-chain") == _reference(F_EXPO, keys, "euclid-chain")
 
@@ -1004,16 +1041,6 @@ class TestTablePass:
         F = bivariate_expression("1/(x-3/8) + x*y")
         keys = [Fraction(k, 8) for k in range(-16, 17) if k % 8 in (0, 2, 4, 6)] + [Fraction(1, 8)]
         assert _table(F, keys, "dyadic") == _reference(F, keys, "dyadic")
-
-    def test_row_limit_refusal_is_the_walks(self, monkeypatch):
-        # in key order, rows of 499 and 399 terms fit, and one of 299 more would not
-        monkeypatch.setattr(continuous, "MAX_ROW_TERMS", 1000)
-        keys = [Fraction(1, 300), Fraction(1, 400), Fraction(1, 500), Fraction(3, 2)]
-        assert _table(F_EXPO, keys, "euclid-chain") == (
-            ValueError,
-            "euclid-chain row sums reach 1197 kernel terms at key 1/300; the limit per call is 1000",
-            None,
-        )
 
 
 class TestGridKeys:
