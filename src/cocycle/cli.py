@@ -156,6 +156,8 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
     F = _function(cfg)
     if not cfg.box > 0:  # a box of 0 or less samples only the origin
         raise ValueError(f"check --box must be positive, got {cfg.box}")
+    if not math.isfinite(2.0 * cfg.box):  # the samples' width overflows to inf
+        raise ValueError(f"check --box must be at most {sys.float_info.max / 2!r}, got {cfg.box}")
     if cfg.samples < 1:
         raise ValueError(f"check --samples must be at least 1, got {cfg.samples}")
     # random.uniform(-span, span)'s own formula, inline: the same stream

@@ -81,11 +81,6 @@ __all__ = [
 
 ENGINES = ("euclid-chain", "dyadic")
 
-# Errors of a kernel term's call: F's compiled scalar form raises Python's,
-# and another callable may raise EvaluationError.  The term is then taken
-# again through LatticeSolver._kernel, which raises at its lattice point.
-_CALL_ERRORS = (ArithmeticError, ValueError, TypeError, EvaluationError)
-
 # grid_keys refuses grids larger than this many keys.
 MAX_GRID_KEYS = 10**6
 
@@ -112,12 +107,36 @@ class ConvergenceError(Exception):
         self.bound = bound
 
 
+def _lattice_term(F, f00: float):
+    """term(a, b, c, d) = H(a/b, c/d) for a, c != 0, pairs not necessarily
+    reduced, with F called by the rule of ``expressions._scalar``: the one
+    place where F's EvaluationError or a non-finite H becomes an error at
+    the lattice point.  Other exceptions of a plain callable pass as they are."""
+    call = F._compiled[0] if type(F) is FuncSpec else lambda x, y: float(F(x, y))
+    isfinite = math.isfinite
+
+    def term(a: int, b: int, c: int, d: int) -> float:
+        x, y = a / b, c / d
+        try:
+            val = call(x, y) - f00
+        except EvaluationError as exc:  # its reason, without the float point
+            raise EvaluationError(f"F not evaluable at lattice point ({Fraction(a, b)}, "
+                                  f"{Fraction(c, d)}): {exc.__cause__ or exc}", point=(x, y)) from exc
+        if isfinite(val):
+            return val
+        raise EvaluationError(f"F non-finite at lattice point ({Fraction(a, b)}, {Fraction(c, d)})",
+                              point=(x, y))
+
+    return term
+
+
 class LatticeSolver:
     """Shared evaluation state for one kernel F.
 
     Exact points are reduced integer pairs (num, den) with den > 0, and F
-    gets each one as the float num / den, through its compiled scalar form
-    (the rule of ``expressions._scalar``).  One evaluator (``_values``)
+    gets each one as the float num / den.  Every kernel term is one call
+    of ``_term`` (``_lattice_term``), the one place where F's failure
+    becomes an error at its lattice point.  One evaluator (``_values``)
     serves ``h`` and ``reconstruct_table``, and caches h per engine at
     every nonnegative key and node by its pair, so a table and the single
     keys after it share the cache; no Fraction is built below the public
@@ -135,6 +154,7 @@ class LatticeSolver:
     def __init__(self, F):
         self.F = F
         self.F00 = float(F(0.0, 0.0))
+        self._term = _lattice_term(F, self.F00)
         self._h: dict[str, dict[tuple[int, int], float]] = {e: {} for e in ENGINES}
         self._bounds = None  # F's _BOUNDS entry, read on the first _h_bound call
 
@@ -143,44 +163,20 @@ class LatticeSolver:
     def H(self, x: Fraction, y: Fraction) -> float:
         """H(x, y) = F(x, y) - F(0, 0) at exact points."""
         x, y = Fraction(x), Fraction(y)
-        return self._kernel(x.numerator, x.denominator, y.numerator, y.denominator)
-
-    def _kernel(self, a: int, b: int, c: int, d: int) -> float:
-        # H(a/b, c/d); the pairs need not be reduced
-        if a == 0 or c == 0:
+        if not (x and y):
             return 0.0  # H(x, 0) = H(0, y) = 0 for any cocycle
-        xf, yf = a / b, c / d
-        try:
-            val = float(self.F(xf, yf)) - self.F00
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"F not evaluable at lattice point ({Fraction(a, b)}, {Fraction(c, d)}): "
-                f"{exc.__cause__ or exc}",  # the reason, without the float point
-                point=(xf, yf),
-            ) from exc
-        if not math.isfinite(val):
-            raise EvaluationError(
-                f"F non-finite at lattice point ({Fraction(a, b)}, {Fraction(c, d)})",
-                point=(xf, yf),
-            )
-        return val
+        return self._term(x.numerator, x.denominator, y.numerator, y.denominator)
 
-    def _row_sum(self, a: int, b: int, m: int, t: float, call) -> float:
+    def _row_sum(self, a: int, b: int, m: int, t: float) -> float:
         # T(m) = sum_{i=1..m-1} H(x, i*x) for x = a/b and m > 2, from
         # t = T(2) = H(x, x), along the binary digits of m by the cocycle
         # relation T(j + c) = T(j) + T(c) + H(jx, cx): c = j doubles j
         # while j is m's leading digits (m >> s), and c = 1 adds the next
-        # digit where it is 1; terms as in _values
-        f00, isfinite, j, s = self.F00, math.isfinite, 2, m.bit_length() - 2
+        # digit where it is 1
+        term, j, s = self._term, 2, m.bit_length() - 2
         while j < m:
             c = j if j == m >> s else 1
-            try:
-                u = call(j * a / b, c * a / b) - f00
-            except _CALL_ERRORS:
-                u = math.nan
-            if not isfinite(u):
-                u = self._kernel(j * a, b, c * a, b)
-            t = (2.0 * t if c > 1 else t) + u
+            t = (2.0 * t if c > 1 else t) + term(j * a, b, c * a, b)
             s -= c > 1
             j += c
         return t
@@ -198,14 +194,9 @@ class LatticeSolver:
         # down its line of parents (1 - x on (1/2, 1), mx on (0, 1/2)) to a
         # cached value, 1/2 or 1, then back up; H(k, s); and H(|r|, -|r|)
         # for r < 0: the order in which a recursion on the identities calls
-        # F.  A term calls F's scalar form (the rule of _scalar), inline, as
-        # a call per term or node costs a dense table several percent; where
-        # it raises or H is not finite, _kernel takes the term again and
-        # raises at its lattice point.  h is cached at every nonnegative key
-        # and node.
-        F, f00, kernel, isfinite, nan = self.F, self.F00, self._kernel, math.isfinite, math.nan
-        call = F._compiled[0] if type(F) is FuncSpec else lambda x, y: float(F(x, y))
-        cache, dyadic, out = self._h[engine], engine == "dyadic", []
+        # F.  Each term is one _term call, which raises at its lattice
+        # point.  h is cached at every nonnegative key and node.
+        term, cache, dyadic, out = self._term, self._h[engine], engine == "dyadic", []
         for num, den in pairs:
             n = -num if num < 0 else num
             hv = cache.get((n, den))
@@ -213,7 +204,7 @@ class LatticeSolver:
                 k, s = divmod(n, den)
                 hv = cache.get((k, 1)) if k > 1 else 0.0
                 if hv is None:
-                    hv = self._integer(k, cache, call)
+                    hv = self._integer(k, cache)
                 # for k = 0 the key is (s, den), just looked up
                 hs = cache.get((s, den)) if k and s else None if s else 0.0
                 if hs is None:
@@ -227,56 +218,30 @@ class LatticeSolver:
                         hs = cache.get(node) if node[1] > 1 else 0.0  # h(1) = 0
                     for node in reversed(path):
                         p, q = node
-                        x = p / q
                         if 2 * p > q:  # h(x) = -h(1-x) - H(x, 1-x)
-                            try:
-                                t = call(x, (q - p) / q) - f00
-                            except _CALL_ERRORS:
-                                t = nan  # _kernel raises the call's error
-                            if not isfinite(t):
-                                t = kernel(p, q, q - p, q)
-                            hs = -hs - t
+                            hs = -hs - term(p, q, q - p, q)
                         else:
                             # h(x) = (h(mx) - T(m)) / m, m = 2 on the dyadic
                             # engine; h(1/2) = -T(2) / 2, T(2) = H(x, x)
-                            try:
-                                t = call(x, x) - f00
-                            except _CALL_ERRORS:
-                                t = nan
-                            if not isfinite(t):
-                                t = kernel(p, q, p, q)
+                            t = term(p, q, p, q)
                             m = 2 if dyadic else q // p
                             if m > 2:
-                                t = self._row_sum(p, q, m, t, call)
+                                t = self._row_sum(p, q, m, t)
                             hs = (hs - t) / m if 2 * p < q else -t / 2.0
                         cache[node] = hs
                 if k and s:  # h(k + s) = h(k) + h(s) + H(k, s)
-                    try:
-                        t = call(float(k), s / den) - f00
-                    except _CALL_ERRORS:
-                        t = nan
-                    if not isfinite(t):
-                        t = kernel(k, 1, s, den)
-                    cache[n, den] = hv = hv + hs + t
+                    cache[n, den] = hv = hv + hs + term(k, 1, s, den)
                 elif s:
                     hv = hs
             if num < 0:  # h(-r) = -h(r) - H(r, -r)
-                x = n / den
-                try:
-                    t = call(x, -x) - f00
-                except _CALL_ERRORS:
-                    t = nan
-                if not isfinite(t):
-                    t = kernel(n, den, num, den)
-                hv = -hv - t
+                hv = -hv - term(n, den, num, den)
             out.append(hv)
         return out
 
-    def _integer(self, k: int, cache: dict, call) -> float:
+    def _integer(self, k: int, cache: dict) -> float:
         # h(k) for an integer k >= 2, along its binary digits, down to a
         # cached value or h(1) = 0: h(2m) = 2 h(m) + H(m, m) and
-        # h(m + 1) = h(m) + H(1, m), so h(2m + 1) reuses h(2m); terms as
-        # in _values
+        # h(m + 1) = h(m) + H(1, m), so h(2m + 1) reuses h(2m)
         path, hv = [], None
         while hv is None:
             path.append(k)
@@ -284,12 +249,7 @@ class LatticeSolver:
             hv = cache.get((k, 1)) if k > 1 else 0.0
         for k in reversed(path):
             a, c = (1, k - 1) if k & 1 else (k >> 1, k >> 1)
-            try:
-                t = call(float(a), float(c)) - self.F00
-            except _CALL_ERRORS:
-                t = math.nan
-            if not math.isfinite(t):
-                t = self._kernel(a, 1, c, 1)
+            t = self._term(a, 1, c, 1)
             cache[k, 1] = hv = hv + t if k & 1 else 2.0 * hv + t
         return hv
 

@@ -395,6 +395,13 @@ _INTERVAL = {
     "exp": _i_exp, "log": _i_log, "sin": _i_sin, "cos": _i_cos, "abs": _i_abs, "sqrt": _i_sqrt,
 }
 
+
+def _point_error(exc: Exception, variables: tuple, args: tuple) -> EvaluationError:
+    # a scalar call's error: its reason "at x=..., y=...", and the point
+    where = ", ".join(f"{v}={a!r}" for v, a in zip(variables, args))
+    return EvaluationError(f"{exc} at {where}", point=args)
+
+
 # The only globals of compiled code: _s_<f> are the scalar functions; _a_<f>
 # the same at floats and, at ndarrays, numpy's abs, sqrt and division (IEEE
 # 754 fixes their results; they raise as Python's do) or libm's function at
@@ -403,12 +410,19 @@ _INTERVAL = {
 _SCALAR = {**_FUNCS, "pow": math.pow, "div": operator.truediv}
 _EXACT = {"abs": np.abs, "sqrt": _sqrt_array, "div": _div_array}
 _GLOBALS = {
-    "_errstate": np.errstate, "_isfinite": math.isfinite,
+    "_errstate": np.errstate, "_isfinite": math.isfinite, "_point_error": _point_error,
     **{f"_s_{name}": fn for name, fn in _SCALAR.items()},
     **{f"_a_{name}": _per_value(fn, _EXACT.get(name)) for name, fn in _SCALAR.items()},
     **{f"_i_{name}": fn for name, fn in _INTERVAL.items()},
 }
-_NON_FINITE = 'raise ArithmeticError("non-finite result")'
+# The scalar form's body from its statements (which set out), variables and
+# parameters: a finite float, or EvaluationError naming the point.
+_SCALAR_BODY = """try:
+        {}
+        if _isfinite(out): return out
+        raise ArithmeticError("non-finite result")
+    except (ArithmeticError, ValueError) as exc:
+        raise _point_error(exc, {!r}, ({},)) from exc"""
 _OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 _OP_CALLS = {"_s_": "^", "_a_": "/^", "_i_": "+-*/^"}  # the operators each form calls
 
@@ -464,8 +478,8 @@ def _compile(node: Expr, variables: tuple[str, ...]):
             body = f"return {expr}"
             if prefix == "_a_":  # numpy's + - * then give inf and NaN silently, as Python's do
                 body = f'with _errstate(all="ignore"): {body}'
-            elif prefix == "_s_":  # a finite float, or a Python error
-                body = f"out = {expr}\n    if _isfinite(out): return out\n    {_NON_FINITE}"
+            elif prefix == "_s_":
+                body = _SCALAR_BODY.format(f"out = {expr}", variables, ", ".join(params))
             scope: dict = {}
             exec(f"def fn({', '.join(params)}):\n    {body}", _GLOBALS, scope)
             compiled[prefix] = scope["fn"]
@@ -510,29 +524,22 @@ class FuncSpec:
     def evaluate(self, *args):
         """F or g at floats or numpy arrays.  An array call gives its scalar
         calls' values bit for bit, in the arguments' broadcast shape.  Python
-        errors and non-finite results become EvaluationError here, a scalar
-        call's with its ``point``, which the message names."""
+        errors and non-finite results raise EvaluationError; a scalar call's,
+        raised by the compiled scalar form, names its ``point``."""
         if len(args) != self.arity:
             raise TypeError(f"expected {self.arity} arguments, got {len(args)}")
         scalar, array, _ = self._compiled
-        fn = scalar
-        for a in args:
-            if type(a) is not float:  # convert, or take the array variant
-                if any(isinstance(b, np.ndarray) for b in args):
-                    fn = array
-                args = [np.asarray(b, float) if isinstance(b, np.ndarray) else float(b) for b in args]
-                break
+        if all(type(a) is float for a in args):
+            return scalar(*args)
+        args = [np.asarray(a, float) if isinstance(a, np.ndarray) else float(a) for a in args]
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return scalar(*args)
         try:
-            out = fn(*args)
-            if fn is array and not np.all(np.isfinite(out)):
+            out = array(*args)
+            if not np.all(np.isfinite(out)):
                 raise ArithmeticError("non-finite result")
         except (ArithmeticError, ValueError) as exc:
-            if fn is array:
-                raise EvaluationError(str(exc)) from exc
-            where = ", ".join(f"{v}={a!r}" for v, a in zip(self.variables, args))
-            raise EvaluationError(f"{exc} at {where}", point=tuple(args)) from exc
-        if fn is scalar:
-            return out
+            raise EvaluationError(str(exc)) from exc
         shape = np.broadcast(*args).shape
         return out if type(out) is np.ndarray and out.shape == shape else np.full(shape, out)
 
@@ -600,21 +607,10 @@ def _seed_cocycle(seed: Expr, variable: str) -> FuncSpec:
 # --- sampling -------------------------------------------------------------
 
 def _scalar(fn):
-    """fn at float points (x, y): a FuncSpec's compiled scalar form, and its
-    call, whose EvaluationError names the point, only where that form raises.
-    Any other fn, a subclass too (it may override ``evaluate``), is itself."""
-    if type(fn) is not FuncSpec:
-        return fn
-    compiled = fn._compiled[0]
-
-    def call(x, y):
-        try:
-            return compiled(x, y)
-        except (ArithmeticError, ValueError, TypeError):
-            pass
-        return fn(x, y)
-
-    return call
+    """fn at float points (x, y): a FuncSpec's compiled scalar form, whose
+    EvaluationError names the point.  Any other fn, a subclass too (it may
+    override ``evaluate``), is itself."""
+    return fn._compiled[0] if type(fn) is FuncSpec else fn
 
 
 def _sample(fn, *coords) -> np.ndarray:

@@ -10,8 +10,9 @@ opposite (h1 = -h2) and dF/dl(0, 0) = 0, which gives the reconstruction
 
 normalized by f(0) = -F(0, 0) and f'(0) = 0.  The derivative is a
 central difference with one Richardson level of F's compiled scalar
-form (``expressions._scalar``); integrals use adaptive Simpson quadrature,
-one per gap between a table's keys, with h1 evaluated once at each key.
+form (``expressions._scalar``), whose error names its point; integrals use
+adaptive Simpson quadrature, one per gap between a table's keys, with h1
+evaluated once at each key.
 """
 
 from __future__ import annotations

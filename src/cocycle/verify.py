@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .continuous import _CALL_ERRORS, LatticeSolver, ReconstructedFunction
-from .expressions import FuncSpec, _sample, _scalar
+from .continuous import LatticeSolver, ReconstructedFunction
+from .expressions import _sample, _scalar
 from .rational import format_rational
 
 __all__ = [
@@ -120,17 +120,12 @@ class VerificationReport:
 def _residual_report(check: str, F, points, residuals, tolerance: float) -> VerificationReport:
     """One-result report of the largest |residual| over the points, with
     the point attaining it as the witness.  ``residuals(F, points)`` lists
-    the residuals at the points, taken at float coordinates.  It gets F's
-    compiled scalar form (the rule of _scalar), to call inline: a wrapper
-    call per term took about 40% of a seed kernel's scan.  Where that
-    raises it runs again with _scalar(F), whose error names the point.  The
-    first NaN residual is the largest: the check fails and reports it."""
+    the residuals at the points, taken at float coordinates, of _scalar(F),
+    whose error names the point.  The first NaN residual is the largest:
+    the check fails and reports it."""
     samples = len(points) if hasattr(points, "__len__") else None
     points = list(points)
-    try:
-        values = residuals(F._compiled[0] if type(F) is FuncSpec else F, points)
-    except _CALL_ERRORS:
-        values = residuals(_scalar(F), points)
+    values = residuals(_scalar(F), points)
     worst = -1.0
     witness = None
     for pt, r in zip(points, values):

@@ -258,6 +258,16 @@ class TestExitCodes:
         code, out, err = run_out(argv + ["--config", str(cfg)], capsys)
         assert (code, out) == (2, "") and "--box must be positive" in err
 
+    @pytest.mark.parametrize("box", ["1e308", "8.98846567431158e307"])
+    def test_check_box_whose_width_overflows_is_two(self, box, capsys):
+        # 2 * box overflowed, and every sample was inf: [inf, inf, inf]
+        # passed the checks, a witness outside the box and not strict JSON
+        code, out, err = run_out(["check", "--expr", "1", "--box", box], capsys)
+        assert (code, out) == (2, "") and "--box must be at most 8.988465674311579e+307" in err
+        # the widest box left, half the largest float, samples finite points
+        code, out, _ = run_out(["check", "--expr", "1", "--box", "8.988465674311579e307"], capsys)
+        assert code == 0 and "Infinity" not in out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_check_samples_must_be_positive(self, samples, tmp_path, capsys):
         # 0 used to reach the residual report as "empty sample set"

@@ -241,7 +241,8 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_pole_row_falls_back_like_reference(self, k, shift):
         # 1/(y - 1/3) has a pole on every row whose ladder reaches y = 1/3;
-        # the term falls back to F's call, which reports the lattice point
+        # the term's compiled call raises, and the term names the lattice
+        # point
         F = bivariate_expression("2*x*y + 1/(y - 1/3)")
         r = Fraction(k, 3 * 200) + shift
         assert _outcome(LatticeSolver(F), r) == _outcome(ReferenceSolver(F), r)
@@ -984,6 +985,13 @@ TABLE_ERRORS = [
 ]
 
 
+class _Subclass(FuncSpec):
+    """A FuncSpec subclass, called through its own ``evaluate``."""
+
+    def evaluate(self, *args):
+        return super().evaluate(*args)
+
+
 class TestTablePass:
     """reconstruct_table and LatticeSolver.h share one evaluator, so a
     table is checked against ReferenceSolver, key by key, and its errors
@@ -1027,6 +1035,16 @@ class TestTablePass:
         want = _reference(F, keys, engine) if message is None else (EvaluationError, message, point)
         assert _table(F, keys, engine) == want
         assert _table(lambda x, y: F(x, y), keys, engine) == want  # a plain callable
+        assert _table(_Subclass(F.ast, F.variables), keys, engine) == want
+
+    @pytest.mark.parametrize("engine,grid", [("euclid-chain", {"denominators": 4}),
+                                             ("dyadic", {"dyadic_level": 3})])
+    def test_plain_callable_error_passes_unchanged(self, engine, grid):
+        # only an EvaluationError becomes one at the lattice point; a plain
+        # callable's own error is raised as it is, type and message
+        with pytest.raises(ZeroDivisionError) as info:
+            reconstruct_table(lambda x, y: 1 / (x - 0.5), grid_keys((0, 1), **grid), engine)
+        assert (type(info.value), str(info.value)) == (ZeroDivisionError, "float division by zero")
 
     def test_pole_names_the_lattice_point(self):
         F = bivariate_expression("1/(x-1/2)")

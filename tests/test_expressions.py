@@ -23,7 +23,7 @@ from cocycle import (
 )
 from cocycle.continuous import grid_keys, reconstruct_table
 from cocycle.expressions import (
-    _GLOBALS, _NON_FINITE, Bin, Call, Const, Num, Unary, Var, _lower, _sample, _scalar, _tokenize
+    _GLOBALS, _SCALAR_BODY, Bin, Call, Const, Num, Unary, Var, _lower, _sample, _scalar, _tokenize
 )
 from cocycle.smooth import reconstruct_ck_table
 from cocycle.verify import cocycle_residual, kurepa_residual, symmetry_residual
@@ -124,8 +124,8 @@ def reference_compiled_kernel(g):
             body = f"s = x + y; s = {s}; return s - (({gx}) + ({gy}))"
         if prefix == "_a_":
             body = f'with _errstate(all="ignore"): {body}'
-        if prefix == "_s_":  # the scalar form ends with the finiteness check
-            body = body.replace("return", "out =") + f"\n    if _isfinite(out): return out\n    {_NON_FINITE}"
+        if prefix == "_s_":  # the scalar form checks finiteness and names its point
+            body = _SCALAR_BODY.format(body.replace("return", "out ="), ("x", "y"), "x, y")
         scope: dict = {}
         exec(f"def fn(x, y):\n    {body}", _GLOBALS, scope)
         compiled.append(scope["fn"])
@@ -535,10 +535,6 @@ class TestScalarEntry:
         assert _scalar(plain) is plain
         traced = Traced(parse_expr("x * y"), ("x", "y"))
         assert _scalar(traced) is traced
-
-    def test_arity_error_is_the_calls(self):
-        with pytest.raises(TypeError, match="expected 1 arguments, got 2"):
-            _scalar(seed_expression("t"))(0.5, 0.5)
 
     # F(0, 0) is the only call through evaluate: the lattice solver and
     # the ck route take it once, the residual checks never

@@ -82,6 +82,14 @@ class TestKurepaResidual:
         with pytest.raises(ValueError):
             kurepa_residual(F_BILINEAR, [])
 
+    def test_plain_callable_error_passes_unchanged(self):
+        # F(x + y, z) = F(1/2, 1/2) is the pole; only F's compiled scalar
+        # form names its point, and a plain callable's own error is raised
+        # as it is, type and message
+        with pytest.raises(ZeroDivisionError) as info:
+            kurepa_residual(lambda x, y: 1 / (x - 0.5), [(1.0, 2.0, 3.0), (0.25, 0.25, 0.5)])
+        assert (type(info.value), str(info.value)) == (ZeroDivisionError, "float division by zero")
+
 
 class TestSymmetryResidual:
     def test_cocycle_is_symmetric(self):
